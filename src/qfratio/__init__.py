@@ -19,6 +19,7 @@ from .oracle import (
     exact_density_n2,
     imhof_cdf_of_R,
     mc_cdf,
+    mc_cdf_grid,
     relative_error_curve,
 )
 from .saddlepoint import (
@@ -28,9 +29,11 @@ from .saddlepoint import (
     SaddlepointSolution,
     Strip,
     cdf,
+    cdf_grid,
     cgf,
     normalized_pdf,
     pdf,
+    pdf_grid,
     solve_saddlepoint,
     strip,
 )

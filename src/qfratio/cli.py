@@ -2,14 +2,14 @@
 
 Problem files are JSON objects {"A": [[...]], "B": [[...]], "mu": [...]}
 with an optional "sigma" covariance that is folded in by whitening.  All
-numeric output is serialized with 17 significant digits; grid points are
-dispatched to a thread pool and emitted in grid order.
+numeric output is serialized with 17 significant digits.  The cdf and pdf
+verbs evaluate their whole grid in one batched call and emit it in grid
+order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -139,12 +139,6 @@ def _emit(records, fieldnames, args):
         sys.stdout.write(text)
 
 
-def _grid_map(fn, grid):
-    """Apply fn to each grid point on a worker pool, preserving grid order."""
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        return list(pool.map(fn, grid))
-
-
 def _cmd_analyze(args):
     tol = _parse_tol(args.tol)
     ratio = _load_problem(args.problem, tol)
@@ -221,31 +215,15 @@ def _load_design(path: str) -> np.ndarray:
 _POINT_FIELDS = ("r", "value", "s_hat", "w_hat", "u_hat", "branch")
 
 
-def _cmd_cdf(args):
+def _cmd_points(args):
+    """The cdf and pdf verbs: one saddlepoint record per grid point."""
     tol = _parse_tol(args.tol)
     ratio = _load_problem(args.problem, tol)
     grid = _parse_grid(args)
-
-    def one(r):
-        a = saddlepoint.cdf(ratio, float(r), tol)
-        return {"r": float(r), "value": a.value, "s_hat": a.s_hat,
-                "w_hat": a.w_hat, "u_hat": a.u_hat, "branch": a.branch}
-
-    _emit(_grid_map(one, grid), _POINT_FIELDS, args)
-    return 0
-
-
-def _cmd_pdf(args):
-    tol = _parse_tol(args.tol)
-    ratio = _load_problem(args.problem, tol)
-    grid = _parse_grid(args)
-
-    def one(r):
-        a = saddlepoint.pdf(ratio, float(r), tol)
-        return {"r": float(r), "value": a.value, "s_hat": a.s_hat,
-                "w_hat": a.w_hat, "u_hat": a.u_hat, "branch": a.branch}
-
-    _emit(_grid_map(one, grid), _POINT_FIELDS, args)
+    approx = getattr(saddlepoint, f"{args.verb}_grid")(ratio, grid, tol)
+    records = [{"r": float(r), "value": a.value, "s_hat": a.s_hat, "w_hat": a.w_hat,
+                "u_hat": a.u_hat, "branch": a.branch} for r, a in zip(grid, approx)]
+    _emit(records, _POINT_FIELDS, args)
     return 0
 
 
@@ -284,32 +262,34 @@ def _cmd_tail_limit(args):
 _ORACLE_FIELDS = ("r", "exact", "approx", "ratio", "se")
 
 
-def _oracle_record(ratio, r, tol, draws, seed, exact_fn=None):
-    approx = saddlepoint.cdf(ratio, float(r), tol)
+def _oracle_records(ratio, grid, tol, draws, seed, exact_fn=None):
+    """Exact (or Monte Carlo) CDF against the approximation at every grid point.
+
+    Monte Carlo estimates share one set of draws across the grid.
+    """
     if draws:
-        est = oracle.mc_cdf(ratio, float(r), n_draws=draws, seed=seed)
-        exact, se = est.value, est.std_error
+        exact = [(e.value, e.std_error) for e in oracle.mc_cdf_grid(ratio, grid, draws, seed)]
     elif exact_fn is not None:
-        exact, se = exact_fn(float(r)), 0.0
+        exact = [(exact_fn(float(r)), 0.0) for r in grid]
     else:
-        exact, se = oracle.imhof_cdf_of_R(ratio, float(r), tol), 0.0
-    if approx.branch != "boundary" and approx.s_hat < 0:
-        ratio_value = exact / approx.value if approx.value > 0 else math.nan
-    else:
-        denom = 1.0 - approx.value
-        ratio_value = (1.0 - exact) / denom if denom > 0 else math.nan
-    return {"r": float(r), "exact": exact, "approx": approx.value,
-            "ratio": ratio_value, "se": se}
+        exact = [(oracle.imhof_cdf_of_R(ratio, float(r), tol), 0.0) for r in grid]
+    records = []
+    for r, approx, (value, se) in zip(grid, saddlepoint.cdf_grid(ratio, grid, tol), exact):
+        if approx.branch != "boundary" and approx.s_hat < 0:
+            ratio_value = value / approx.value if approx.value > 0 else math.nan
+        else:
+            denom = 1.0 - approx.value
+            ratio_value = (1.0 - value) / denom if denom > 0 else math.nan
+        records.append({"r": float(r), "exact": value, "approx": approx.value,
+                        "ratio": ratio_value, "se": se})
+    return records
 
 
 def _cmd_oracle(args):
     tol = _parse_tol(args.tol)
     ratio = _load_problem(args.problem, tol)
     grid = _parse_grid(args)
-    records = _grid_map(
-        lambda r: _oracle_record(ratio, r, tol, args.draws, args.seed), grid
-    )
-    _emit(records, _ORACLE_FIELDS, args)
+    _emit(_oracle_records(ratio, grid, tol, args.draws, args.seed), _ORACLE_FIELDS, args)
     return 0
 
 
@@ -353,20 +333,15 @@ def _cmd_figure(args):
             lo = oracle.imhof_cdf_of_R(ratio, r - h, tol)
             return (hi - lo) / (2.0 * h)
 
-    def dens_record(r):
-        exact = exact_pdf(float(r))
-        approx = saddlepoint.pdf(ratio, float(r), tol).value
-        ratio_value = exact / approx if approx > 0 else math.nan
-        return {"r": float(r), "exact": exact, "approx": approx,
-                "ratio": ratio_value, "se": 0.0}
-
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dens_records = _grid_map(dens_record, dens_grid)
-    tail_records = _grid_map(
-        lambda r: _oracle_record(ratio, r, tol, args.draws, args.seed, exact_cdf),
-        tail_grid,
-    )
+    dens_records = []
+    for r, approx in zip(dens_grid, saddlepoint.pdf_grid(ratio, dens_grid, tol)):
+        exact = exact_pdf(float(r))
+        ratio_value = exact / approx.value if approx.value > 0 else math.nan
+        dens_records.append({"r": float(r), "exact": exact, "approx": approx.value,
+                             "ratio": ratio_value, "se": 0.0})
+    tail_records = _oracle_records(ratio, tail_grid, tol, args.draws, args.seed, exact_cdf)
     ratio_records = [
         {"r": rec["r"], "exact": rec["exact"], "approx": rec["approx"],
          "ratio": rec["ratio"], "se": rec["se"]}
@@ -427,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cdf", help="saddlepoint CDF on a grid")
     _add_common(p)
     _add_grid(p)
-    p.set_defaults(fn=_cmd_cdf)
+    p.set_defaults(fn=_cmd_points)
 
     p = sub.add_parser("pdf", help="saddlepoint density on a grid")
     _add_common(p)
     _add_grid(p)
-    p.set_defaults(fn=_cmd_pdf)
+    p.set_defaults(fn=_cmd_points)
 
     p = sub.add_parser("tail-limit", help="limiting relative-error constants")
     _add_common(p)

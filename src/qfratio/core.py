@@ -114,19 +114,17 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 def fix_eigenvector_signs(V: np.ndarray) -> np.ndarray:
     """Make the first nonzero component of each column positive.
 
-    Deterministic tie-breaking for eigenvector bases; every downstream
-    quantity is invariant to these signs, only reproducibility is at stake.
+    ``V`` is one basis or a ``(..., n, n)`` stack of them.  A component
+    counts as nonzero above 1e-12 times the largest magnitude in its column;
+    all-zero columns are left alone.  Deterministic tie-breaking for
+    eigenvector bases; every downstream quantity is invariant to these
+    signs, only reproducibility is at stake.
     """
-    V = V.copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0.0:
-            continue
-        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, j] = -col
-    return V
+    V = np.asarray(V, dtype=float)
+    mag = np.abs(V)
+    big = mag > 1e-12 * mag.max(axis=-2, keepdims=True)
+    lead = np.take_along_axis(V, np.argmax(big, axis=-2)[..., None, :], axis=-2)
+    return np.where(big.any(axis=-2, keepdims=True) & (lead < 0), -V, V)
 
 
 def new_ratio(A_raw, B_raw, mu, tol: Tolerances = DEFAULT_TOL) -> QuadFormRatio:
@@ -177,20 +175,41 @@ def whiten(A, B, mu, Sigma, tol: Tolerances = DEFAULT_TOL) -> QuadFormRatio:
     return new_ratio(S @ A @ S, S @ B @ S, S_inv @ mu, tol=tol)
 
 
+# a stacked eigen-decomposition holds at most this many entries per (k, n, n)
+# array, so that long grids at large n are processed chunk by chunk
+_STACK_ELEMENTS = 1 << 20
+
+
+def pencil_eigh(ratio: QuadFormRatio, rs):
+    """Eigen-decompose A - r*B for every r in ``rs``, one stacked eigh per chunk.
+
+    Yields ``(start, lambdas, P)`` per chunk of consecutive points: ascending
+    eigenvalues ``(k, n)`` and sign-fixed eigenvector rows ``(k, n, n)``, so
+    that ``P[i] (A - r_i B) P[i]' = diag(lambdas[i])``.
+    """
+    rs = np.asarray(rs, dtype=float).reshape(-1)
+    bad = ~np.isfinite(rs)
+    if bad.any():
+        raise InvalidInputError(f"evaluation point r={rs[bad][0]} must be finite")
+    step = max(1, _STACK_ELEMENTS // ratio.n**2)
+    for start in range(0, rs.shape[0], step):
+        chunk = rs[start : start + step]
+        try:
+            lam, V = np.linalg.eigh(ratio.A - chunk[:, None, None] * ratio.B)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalError(
+                f"symmetric eigensolver failed for r in [{chunk.min()}, {chunk.max()}]: {exc}"
+            ) from exc
+        yield start, lam, np.swapaxes(fix_eigenvector_signs(V), -1, -2)
+
+
 def spectrum_at(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> SpectrumAtR:
     """Eigen-decompose A - r*B: ascending eigenvalues, sign-fixed eigenvectors."""
-    if not np.isfinite(r):
-        raise InvalidInputError("evaluation point r must be finite")
-    M = ratio.A - r * ratio.B
-    try:
-        lam, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"symmetric eigensolver failed at r={r}: {exc}") from exc
-    V = fix_eigenvector_signs(V)
-    P = V.T
+    _, lam, P = next(pencil_eigh(ratio, [r]))
+    P = P[0]
     return SpectrumAtR(
         r=float(r),
-        lambdas=_frozen(lam),
+        lambdas=_frozen(lam[0]),
         P=_frozen(P),
         nu=_frozen(P @ ratio.mu),
         H=_frozen(P @ ratio.B @ P.T),

@@ -46,23 +46,36 @@ def mc_draws(ratio: QuadFormRatio, n_draws: int, seed: int) -> np.ndarray:
         # chunk index in the top counter word: streams are spaced 2^192 blocks
         # apart and can never overlap, whatever the chunk length
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk_idx]))
-        eps = rng.standard_normal((k, n)) + np.asarray(ratio.mu)
-        num = np.einsum("ij,jk,ik->i", eps, np.asarray(ratio.A), eps)
-        den = np.einsum("ij,jk,ik->i", eps, np.asarray(ratio.B), eps)
-        out[pos : pos + k] = num / den
+        eps = rng.standard_normal((k, n))
+        eps += np.asarray(ratio.mu)
+        # e'Me for every row e as ((E M) * E).sum(1), reusing one work array
+        form = eps @ np.asarray(ratio.A)
+        form *= eps
+        num = form.sum(axis=1)
+        np.matmul(eps, np.asarray(ratio.B), out=form)
+        form *= eps
+        out[pos : pos + k] = num / form.sum(axis=1)
         pos += k
         chunk_idx += 1
     return out
 
 
-def mc_cdf(ratio: QuadFormRatio, r: float, n_draws: int = 10**5, seed: int = 0) -> McEstimate:
-    """Monte-Carlo Pr(R <= r) with a binomial standard error."""
+def mc_cdf_grid(ratio: QuadFormRatio, rs, n_draws: int = 10**5, seed: int = 0) -> list:
+    """Monte-Carlo Pr(R <= r) with binomial standard errors, one draw set for all r in rs."""
     if n_draws < 10**3:
         raise InvalidInputError("n_draws must be at least 1000")
     draws = mc_draws(ratio, n_draws, seed)
-    p = float(np.mean(draws <= r))
-    se = math.sqrt(max(p * (1.0 - p), 1.0 / n_draws) / n_draws)
-    return McEstimate(value=p, std_error=se, n_draws=n_draws, seed=seed)
+    out = []
+    for r in np.asarray(rs, dtype=float).reshape(-1):
+        p = float(np.mean(draws <= r))
+        se = math.sqrt(max(p * (1.0 - p), 1.0 / n_draws) / n_draws)
+        out.append(McEstimate(value=p, std_error=se, n_draws=n_draws, seed=seed))
+    return out
+
+
+def mc_cdf(ratio: QuadFormRatio, r: float, n_draws: int = 10**5, seed: int = 0) -> McEstimate:
+    """Monte-Carlo Pr(R <= r) with a binomial standard error."""
+    return mc_cdf_grid(ratio, [r], n_draws, seed)[0]
 
 
 def imhof_cdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:

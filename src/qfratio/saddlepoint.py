@@ -4,6 +4,8 @@ X_r = e'(A - rB)e is the signed quadratic form whose sign probabilities give
 the CDF of R.  Its CGF is a sum of noncentral chi-square cumulant terms over
 the pencil spectrum; the saddlepoint is the unique root of K' inside the
 convergence strip, found by safeguarded Newton bracketed by the strip.
+``cdf_grid``/``pdf_grid`` evaluate a whole grid at once on stacked spectra,
+one Newton lane per point; ``cdf``/``pdf`` are their one-point case.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
-from .core import DEFAULT_TOL, QuadFormRatio, SpectrumAtR, Tolerances, spectrum_at
+from .core import DEFAULT_TOL, QuadFormRatio, SpectrumAtR, Tolerances, pencil_eigh
 from .errors import InvalidInputError, NumericalError, UnsupportedInstanceError
 from .rootfind import newton_bracketed
 
@@ -65,76 +68,99 @@ class DensityApprox:
     u_hat: float
 
 
-def strip(spectrum: SpectrumAtR, tol: Tolerances = DEFAULT_TOL) -> Strip:
+def _strip_bounds(lam: np.ndarray):
+    """Strip edges 1/(2*lambda_min), 1/(2*lambda_max) per lane; -inf/+inf when one-signed."""
+    lam_min, lam_max = lam[..., 0], lam[..., -1]
+    if ((lam_min == 0.0) & (lam_max == 0.0)).any():
+        raise InvalidInputError("all-zero spectrum: degenerate instance")
+    with np.errstate(divide="ignore"):
+        return (np.where(lam_min < 0, 0.5 / lam_min, -np.inf),
+                np.where(lam_max > 0, 0.5 / lam_max, np.inf))
+
+
+def strip(spectrum: SpectrumAtR) -> Strip:
     """Convergence strip: 1/(2*lambda_min) < s < 1/(2*lambda_max).
 
     One-signed spectra give a half-infinite strip on the unconstrained side.
     """
-    lam = spectrum.lambdas
-    scale = np.max(np.abs(lam))
-    if scale == 0.0:
-        raise InvalidInputError("all-zero spectrum: degenerate instance")
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
-    lo = 1.0 / (2.0 * lam_min) if lam_min < 0 else -np.inf
-    hi = 1.0 / (2.0 * lam_max) if lam_max > 0 else np.inf
-    return Strip(lo=lo, hi=hi)
+    lo, hi = _strip_bounds(np.asarray(spectrum.lambdas))
+    return Strip(lo=float(lo), hi=float(hi))
 
 
-def cgf(spectrum: SpectrumAtR, s: float, tol: Tolerances = DEFAULT_TOL) -> CgfEval:
+def cumulant_sums(lam, nu2, s, orders=(0, 1, 2, 3)) -> list:
+    """K^(j)(s) for each j in ``orders``, X = sum_i lam_i chi2_1(nu2_i).
+
+    The last axis of ``lam`` and ``nu2`` runs over the terms; ``s`` holds
+    one tilt per lane of the leading axes.  With d = 1 - 2*s*lam and
+    x = lam/d, K = sum(-log(d)/2 + s*lam*nu2/d) and, for j >= 1,
+    K^(j) = 2^(j-1) (j-1)! sum(x^j (1 + j*nu2/d)).
+    """
+    t = 2.0 * np.asarray(s, dtype=float)[..., None] * lam
+    d = 1.0 - t
+    y = nu2 / d
+    x = lam / d
+    out = []
+    for j in orders:
+        if j == 0:
+            out.append((0.5 * t * y - 0.5 * np.log1p(-t)).sum(axis=-1))
+        else:
+            term = ((x if j == 1 else x**j) * (1.0 + j * y)).sum(axis=-1)
+            out.append(term if j == 1 else 2 ** (j - 1) * math.factorial(j - 1) * term)
+    return out
+
+
+def cgf(spectrum: SpectrumAtR, s: float) -> CgfEval:
     """K and its first three derivatives at a strip-interior tilt s."""
     lam = np.asarray(spectrum.lambdas)
-    nu2 = np.asarray(spectrum.nu) ** 2
-    d = 1.0 - 2.0 * s * lam
-    if np.any(d <= 0.0):
+    if np.any(1.0 - 2.0 * s * lam <= 0.0):
         raise InvalidInputError(f"tilt s={s} is outside the convergence strip")
-    K = float(np.sum(-0.5 * np.log1p(-2.0 * s * lam) + s * lam * nu2 / d))
-    K1 = float(np.sum(lam / d + lam * nu2 / d**2))
-    K2 = float(np.sum(2.0 * lam**2 / d**2 + 4.0 * lam**2 * nu2 / d**3))
-    K3 = float(np.sum(8.0 * lam**3 / d**3 + 24.0 * lam**3 * nu2 / d**4))
+    K, K1, K2, K3 = (float(v) for v in cumulant_sums(lam, np.asarray(spectrum.nu) ** 2, s))
     return CgfEval(s=float(s), K=K, K1=K1, K2=K2, K3=K3)
+
+
+def _raise_first(bad: np.ndarray, make) -> None:
+    """Raise ``make(i)`` for the first lane i flagged in ``bad``, if any."""
+    if bad.any():
+        raise make(int(np.argmax(bad)))
+
+
+def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
+    """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'', w_hat, u_hat per lane."""
+    if not ((lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)).all():
+        _strip_bounds(lam)  # an all-zero spectrum is invalid input
+        # one-signed spectrum: K' never changes sign, r is outside the open support
+        raise UnsupportedInstanceError(
+            "no saddlepoint: the spectrum is one-signed (r outside the open support)"
+        )
+    edges = 2.0 * lam[:, [0, -1]]
+    lo, hi = 1.0 / edges[:, 0], 1.0 / edges[:, 1]
+
+    def k1_and_slope(s):
+        # Newton steps on K' * d_min * d_max (d = 1 - 2*s*lambda at the two
+        # extreme eigenvalues): the same root without the poles at the strip
+        # edges, near which plain Newton creeps
+        K1, K2 = cumulant_sums(lam, nu2, s, (1, 2))
+        return K1, K2 - K1 * (edges / (1.0 - s[..., None] * edges)).sum(axis=-1)
+
+    # Newton stops on the |K'| test enforced below; its last step leaves
+    # |K'| far under the tolerance
+    k1_tol = tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1)
+    s_hat = newton_bracketed(k1_and_slope, None, lo + 1e-12 * np.abs(lo),
+                             hi - 1e-12 * np.abs(hi), x0=0.0, f_tol=k1_tol)
+    K, K1, K2 = cumulant_sums(lam, nu2, s_hat, (0, 1, 2))
+    _raise_first(abs(K1) > k1_tol, lambda i: NumericalError(
+        f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
+    w_hat = np.copysign(np.sqrt(np.maximum(-2.0 * K, 0.0)), s_hat)
+    return s_hat, K, K2, w_hat, s_hat * np.sqrt(K2)
 
 
 def solve_saddlepoint(
     spectrum: SpectrumAtR, tol: Tolerances = DEFAULT_TOL
 ) -> SaddlepointSolution:
     """Unique root of K' in the strip, with the w-hat/u-hat pair."""
-    st = strip(spectrum, tol)
-    if not (np.isfinite(st.lo) and np.isfinite(st.hi)):
-        # one-signed spectrum: K' never changes sign, r is outside the open support
-        raise UnsupportedInstanceError(
-            "no saddlepoint: the spectrum is one-signed (r outside the open support)"
-        )
-    lam = np.asarray(spectrum.lambdas)
-    nu2 = np.asarray(spectrum.nu) ** 2
-    a = st.lo + 1e-12 * abs(st.lo)
-    b = st.hi - 1e-12 * abs(st.hi)
-    k1_scale = float(np.sum(np.abs(lam) * (1.0 + nu2)))
-
-    def f(s):
-        d = 1.0 - 2.0 * s * lam
-        return float(np.sum(lam / d + lam * nu2 / d**2))
-
-    def fprime(s):
-        d = 1.0 - 2.0 * s * lam
-        return float(np.sum(2.0 * lam**2 / d**2 + 4.0 * lam**2 * nu2 / d**3))
-
-    s_hat = newton_bracketed(f, fprime, a, b, x0=0.0, f_tol=0.0)
-    ce = cgf(spectrum, s_hat, tol)
-    if abs(ce.K1) > tol.tol_root * k1_scale:
-        raise NumericalError(
-            f"saddlepoint solve left |K'|={abs(ce.K1):.3e} above tolerance"
-        )
-    w_hat = math.copysign(math.sqrt(max(-2.0 * ce.K, 0.0)), s_hat)
-    u_hat = s_hat * math.sqrt(ce.K2)
-    return SaddlepointSolution(s_hat=s_hat, w_hat=w_hat, u_hat=u_hat, cgf_at_shat=ce)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / _SQRT_2PI
+    lam = np.asarray(spectrum.lambdas)[None]
+    s, _, _, w, u = (float(v[0]) for v in _solve(lam, np.asarray(spectrum.nu)[None] ** 2, tol))
+    return SaddlepointSolution(s_hat=s, w_hat=w, u_hat=u, cgf_at_shat=cgf(spectrum, s))
 
 
 # eigenvalues are zero "within floating point" at this relative scale; the
@@ -143,84 +169,87 @@ def _norm_pdf(x: float) -> float:
 _BOUNDARY_RTOL = 1e-13
 
 
-def _boundary_side(spectrum: SpectrumAtR, tol: Tolerances):
-    """0.0/1.0 when r sits at or beyond the support (one-signed spectrum), else None."""
-    lam = np.asarray(spectrum.lambdas)
-    scale = np.max(np.abs(lam))
-    if scale == 0.0:
+def _boundary_side(lam: np.ndarray) -> np.ndarray:
+    """Per lane, 0.0/1.0 when r sits at or beyond the support (one-signed spectrum), else nan."""
+    edge = _BOUNDARY_RTOL * np.abs(lam).max(axis=-1)
+    if (edge == 0.0).any():
         raise InvalidInputError("all-zero spectrum: degenerate instance")
-    if lam[-1] <= _BOUNDARY_RTOL * scale:
-        return 1.0  # A - rB <= 0: X_r <= 0 almost surely
-    if lam[0] >= -_BOUNDARY_RTOL * scale:
-        return 0.0
-    return None
+    return np.where(lam[..., -1] <= edge, 1.0, np.where(lam[..., 0] >= -edge, 0.0, np.nan))
 
 
-def _lr_value(sol: SaddlepointSolution, spectrum: SpectrumAtR, tol: Tolerances):
-    """Lugannani-Rice value plus branch tag, blending across the mean switch."""
+def _lr_value(w, u, lam, nu2, tol: Tolerances):
+    """Lugannani-Rice values, blended across the mean switch, and their branch tags."""
     th = tol.mean_branch_threshold
-    w, u = sol.w_hat, sol.u_hat
-    need_mean = abs(w) < 3.0 * th
-    mean_val = regular_val = None
-    if need_mean:
-        c0 = cgf(spectrum, 0.0, tol)
-        mean_val = 0.5 + c0.K3 / (6.0 * _SQRT_2PI * c0.K2**1.5)
-    if abs(w) >= th:
-        regular_val = _norm_cdf(w) + _norm_pdf(w) * (1.0 / w - 1.0 / u)
-    if abs(w) < th:
-        return mean_val, "mean"
-    if abs(w) < 3.0 * th:
-        t = (abs(w) - th) / (2.0 * th)
-        return (1.0 - t) * mean_val + t * regular_val, "regular"
-    return regular_val, "regular"
+    aw = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = scipy.special.ndtr(w) + np.exp(-0.5 * w * w) / _SQRT_2PI * (1.0 / w - 1.0 / u)
+    near = aw < 3.0 * th
+    if near.any():
+        K2, K3 = cumulant_sums(lam[near], nu2[near], 0.0, (2, 3))
+        mean_val = 0.5 + K3 / (6.0 * _SQRT_2PI * K2**1.5)
+        t = (aw[near] - th) / (2.0 * th)
+        value[near] = np.where(t >= 0.0, (1.0 - t) * mean_val + t * value[near], mean_val)
+    return value, np.where(aw < th, "mean", "regular")
+
+
+def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool) -> list:
+    """CdfApprox (or, with ``density``, DensityApprox) records for every point of rs."""
+    rs = np.asarray(rs, dtype=float).reshape(-1)
+    B, mu = np.asarray(ratio.B), np.asarray(ratio.mu)
+    out = []
+    for start, lam, P in pencil_eigh(ratio, rs):
+        side = _boundary_side(lam)
+        interior = np.isnan(side)
+        # a basic slice gives views, not copies, when every point is interior
+        inner = slice(None) if interior.all() else interior
+        s, w, u, J = np.full((4,) + side.shape, math.nan)
+        value = np.zeros(side.shape) if density else side
+        branch = np.full(side.shape, "boundary", dtype=object)
+        if interior.any():
+            lam, P = lam[inner], P[inner]
+            nu = P @ mu
+            nu2 = nu * nu
+            s_i, K, K2, w[inner], u[inner] = _solve(lam, nu2, tol)
+            s[inner] = s_i
+            if density:
+                # J = tr(H D^-1) + x'Hx with H = P B P', D = diag(d), x = nu/d
+                d = 1.0 - 2.0 * s_i[:, None] * lam
+                Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
+                J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
+                       + ((Ptx @ B) * Ptx).sum(axis=-1))
+                r_i = rs[start : start + side.shape[0]][inner]
+                _raise_first(J_i <= 0.0, lambda i: NumericalError(
+                    f"nonpositive Jacobian weight J={J_i[i]:g} at r={r_i[i]}"))
+                J[inner] = J_i
+                value[inner] = np.exp(np.log(J_i) + K - 0.5 * np.log(2.0 * math.pi * K2))
+                branch[inner] = "regular"
+            else:
+                lr, branch[inner] = _lr_value(w[inner], u[inner], lam, nu2, tol)
+                value[inner] = np.clip(lr, 0.0, 1.0)
+        cols = (value, branch, J, s, w, u) if density else (value, branch, s, w, u)
+        kind = DensityApprox if density else CdfApprox
+        out += [kind(*rec) for rec in zip(*(c.tolist() for c in cols))]
+    return out
+
+
+def cdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
+    """First-order Lugannani-Rice approximations of Pr(R <= r), one CdfApprox per r in rs."""
+    return _grid(ratio, rs, tol, density=False)
+
+
+def pdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Saddlepoint densities of R, assembled in log space, one DensityApprox per r in rs."""
+    return _grid(ratio, rs, tol, density=True)
 
 
 def cdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> CdfApprox:
     """First-order Lugannani-Rice approximation of Pr(R <= r)."""
-    spectrum = spectrum_at(ratio, r, tol)
-    side = _boundary_side(spectrum, tol)
-    if side is not None:
-        return CdfApprox(value=side, branch="boundary",
-                         s_hat=math.nan, w_hat=math.nan, u_hat=math.nan)
-    sol = solve_saddlepoint(spectrum, tol)
-    value, branch = _lr_value(sol, spectrum, tol)
-    return CdfApprox(
-        value=min(max(value, 0.0), 1.0),
-        branch=branch,
-        s_hat=sol.s_hat,
-        w_hat=sol.w_hat,
-        u_hat=sol.u_hat,
-    )
-
-
-def _jacobian_weight(spectrum: SpectrumAtR, s: float) -> float:
-    d = 1.0 - 2.0 * s * np.asarray(spectrum.lambdas)
-    H = np.asarray(spectrum.H)
-    x = np.asarray(spectrum.nu) / d
-    return float(np.sum(np.diag(H) / d) + x @ H @ x)
+    return _grid(ratio, [r], tol, density=False)[0]
 
 
 def pdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> DensityApprox:
     """Saddlepoint density of R at r, assembled in log space."""
-    spectrum = spectrum_at(ratio, r, tol)
-    side = _boundary_side(spectrum, tol)
-    if side is not None:
-        return DensityApprox(value=0.0, branch="boundary", J=math.nan,
-                             s_hat=math.nan, w_hat=math.nan, u_hat=math.nan)
-    sol = solve_saddlepoint(spectrum, tol)
-    ce = sol.cgf_at_shat
-    J = _jacobian_weight(spectrum, sol.s_hat)
-    if J <= 0.0:
-        raise NumericalError(f"nonpositive Jacobian weight J={J:g} at r={r}")
-    ln_f = math.log(J) + ce.K - 0.5 * math.log(2.0 * math.pi * ce.K2)
-    return DensityApprox(
-        value=math.exp(ln_f),
-        branch="regular",
-        J=J,
-        s_hat=sol.s_hat,
-        w_hat=sol.w_hat,
-        u_hat=sol.u_hat,
-    )
+    return _grid(ratio, [r], tol, density=True)[0]
 
 
 def normalized_pdf(
@@ -232,7 +261,6 @@ def normalized_pdf(
     """Saddlepoint density renormalized to unit mass over the support."""
     from .support import support as _support  # local import avoids a cycle
 
-    grid = np.asarray(grid, dtype=float)
     if support_bounds is None:
         info = _support(ratio, tol)
         lo, hi = info.l, info.r_bar
@@ -248,4 +276,4 @@ def normalized_pdf(
         raise NumericalError(
             f"normalization quadrature failed: mass={mass:g}, err={err:g}"
         )
-    return np.array([f(r) / mass for r in grid])
+    return np.array([a.value for a in pdf_grid(ratio, grid, tol)]) / mass

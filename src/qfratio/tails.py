@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .rootfind import newton_bracketed
+from .saddlepoint import cumulant_sums
 from .specfun import Chi2Combo, density_at_zero, ln_beta, ln_hyp1f1, ln_stirling_beta_hat
 from .support import EdgeStructure
 
@@ -77,22 +78,19 @@ def limit_simple(n: int, nu0: float) -> TailLimitSimple:
 
 
 def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
-    """Unique root in (0, 1/2) of the edge saddlepoint-rate equation."""
+    """Unique root in (0, 1/2) of the edge saddlepoint-rate equation.
+
+    The equation is K'(t) = (n - m)/(2t) for the cumulant sums of the edge
+    terms omega, nu0^2; the right side is the central (n - m) block.
+    """
     m = omega.shape[0]
 
     def g(t):
-        d = 1.0 - 2.0 * t * omega
-        return float(-(n - m) / (2.0 * t) + np.sum(omega * (1.0 / d + nu0sq / d**2)))
-
-    def gprime(t):
-        d = 1.0 - 2.0 * t * omega
-        return float(
-            (n - m) / (2.0 * t**2)
-            + np.sum(2.0 * omega**2 / d**2 + 4.0 * omega**2 * nu0sq / d**3)
-        )
+        G1, G2 = cumulant_sums(omega, nu0sq, t, (1, 2))
+        return G1 - (n - m) / (2.0 * t), G2 + (n - m) / (2.0 * t**2)
 
     eps = 1e-12
-    return newton_bracketed(g, gprime, eps, 0.5 - eps, x0=0.25)
+    return newton_bracketed(g, None, eps, 0.5 - eps, x0=0.25)
 
 
 def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> TailLimitMultiple:
@@ -114,9 +112,7 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
     nu0sq = nu0**2
     t0 = _solve_t0(n, omega, nu0sq)
     d = 1.0 - 2.0 * t0 * omega
-    u0 = math.sqrt(
-        (n - m) / 2.0 + 2.0 * t0**2 * float(np.sum(omega**2 * (1.0 / d**2 + 2.0 * nu0sq / d**3)))
-    )
+    u0 = math.sqrt((n - m) / 2.0 + t0**2 * float(cumulant_sums(omega, nu0sq, t0, (2,))[0]))
     eta1 = t0 * omega / (u0 * d)
     eta2 = nu0sq / (2.0 * d)
     eta3 = 1.0 / d

@@ -97,6 +97,20 @@ def test_oracle_reproducible(heavy_tail_problem, capsys):
     assert out1 == out2
 
 
+def test_oracle_draws_shared_across_grid(heavy_tail_problem, capsys):
+    # one draw set serves every point: the records equal per-point mc_cdf bit for bit
+    from qfratio import mc_cdf, ratio_n2
+
+    code, out, _ = run_cli(capsys, "oracle", "--problem", heavy_tail_problem,
+                           "--points=-3,0.5,1,4", "--draws", "5000", "--seed", "11")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    rt = ratio_n2(0.2, 2.0)
+    for rec in records:
+        est = mc_cdf(rt, rec["r"], n_draws=5000, seed=11)
+        assert (rec["exact"], rec["se"]) == (est.value, est.std_error)
+
+
 def test_figure_writes_three_csvs(heavy_tail_problem, tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(

@@ -170,3 +170,38 @@ def test_eigenvalues_nonincreasing_in_r(seed, r):
     lo = np.asarray(spectrum_at(rt, r + h).lambdas)
     hi = np.asarray(spectrum_at(rt, r - h).lambdas)
     assert np.all(lo <= hi + 1e-12)
+
+
+def _fix_signs_loop(V):
+    """Column-by-column reference for fix_eigenvector_signs."""
+    V = V.copy()
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        scale = np.max(np.abs(col))
+        if scale == 0.0:
+            continue
+        nz = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
+        if nz.size and col[nz[0]] < 0:
+            V[:, j] = -col
+    return V
+
+
+def test_fix_eigenvector_signs_matches_loop():
+    from qfratio.core import fix_eigenvector_signs
+
+    rng = rng_for(77)
+    stack = [np.linalg.qr(rng.standard_normal((n, n)))[0] for n in (5, 5, 5)]
+    V = stack[0].copy()
+    V[:, 1] = 0.0  # zero column: left alone
+    V[0, 2] = -1e-14 * np.max(np.abs(V[:, 2]))  # leading entry below 1e-12 * max
+    V[1, 2] = -abs(V[1, 2])
+    V[0, 3] = 1e-14 * np.max(np.abs(V[:, 3]))
+    V[1, 3] = abs(V[1, 3])
+    stack[0] = V
+    for M in stack:  # bit for bit, signed zeros included
+        assert fix_eigenvector_signs(M).tobytes() == _fix_signs_loop(M).tobytes()
+    batched = fix_eigenvector_signs(np.stack(stack))
+    for got, M in zip(batched, stack):
+        assert got.tobytes() == _fix_signs_loop(M).tobytes()
+    # the negative leading entry below the threshold did not decide the sign
+    assert fix_eigenvector_signs(V)[1, 2] > 0
