@@ -20,6 +20,7 @@ from .errors import InvalidInputError, NumericalError
 
 HYP1F1_Z_SWITCH = 60.0
 _LN_MAX = 700.0  # ~log of the largest double
+_NEGLIGIBLE_WEIGHT = 1e-12  # relative to the largest |weight| of a combination
 
 
 def ln_hyp1f1(a: float, b: float, z: float) -> float:
@@ -136,9 +137,19 @@ class Chi2Combo:
         nc = np.array([t[2] for t in self.terms])
         return w, df, nc
 
+    def significant_terms(self) -> tuple:
+        """Terms whose weight is not negligible: |w| > 1e-12 * max|w|.
+
+        A rounding-level weight moves the distribution by a rounding-level
+        amount, but its damping scale 1/|w| would stretch the inversion
+        integrals over an interval the quadrature cannot resolve.
+        """
+        cut = _NEGLIGIBLE_WEIGHT * max(abs(w) for w, _, _ in self.terms)
+        return tuple(t for t in self.terms if abs(t[0]) > cut)
+
     def active_df(self) -> float:
-        """Total degrees of freedom carried by nonzero-weight terms."""
-        return float(sum(df for w, df, _ in self.terms if w != 0.0))
+        """Total degrees of freedom carried by non-negligible-weight terms."""
+        return float(sum(df for _, df, _ in self.significant_terms()))
 
 
 def cf(combo: Chi2Combo, t):
@@ -152,26 +163,56 @@ def cf(combo: Chi2Combo, t):
     return val
 
 
+def _cf_polar(combo: Chi2Combo):
+    """Scalar kernel u -> (theta, log_rho) with cf(combo, u/2) = exp(i*theta - log_rho).
+
+    These are Imhof's phase (without the -x*u/2 shift) and log modulus:
+    theta = sum_j df_j/2 atan(w_j u) + nc_j/2 w_j u / (1 + w_j^2 u^2) and
+    log_rho = sum_j df_j/4 log1p(w_j^2 u^2) + nc_j/2 w_j^2 u^2 / (1 + w_j^2 u^2),
+    in plain floats over the significant terms.  rho itself is never formed,
+    so it cannot overflow.
+    """
+    terms = [(w, 0.5 * df, 0.25 * df, 0.5 * nc) for w, df, nc in combo.significant_terms()]
+    atan, log, log1p, inf = math.atan, math.log, math.log1p, math.inf
+
+    def parts(u):
+        theta = log_rho = 0.0
+        for w, hdf, qdf, hnc in terms:
+            x = w * u
+            x2 = x * x
+            if x2 < inf:
+                q = 1.0 + x2
+                theta += hdf * atan(x) + hnc * x / q
+                log_rho += qdf * log1p(x2) + hnc * x2 / q
+            else:  # |w u| > 1e154: x/(1+x^2) -> 0, x^2/(1+x^2) -> 1
+                theta += hdf * atan(x)
+                log_rho += hdf * log(abs(x)) + hnc
+        return theta, log_rho
+
+    return parts
+
+
 def _scale_breakpoints(combo: Chi2Combo):
-    """Damping scales 1/|w| of the CF factors, one per distinct weight."""
-    w, _, _ = combo.arrays()
-    scales = sorted({1.0 / abs(wi) for wi in w if wi != 0.0})
-    return scales
+    """Damping scales 1/|w| of the CF factors, one per distinct significant weight."""
+    return sorted({1.0 / abs(w) for w, _, _ in combo.significant_terms()})
 
 
 def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
     """Density at 0 of the combination, by inversion of its CF.
 
     Requires 0 to be interior to the support (mixed-sign weights) and total
-    df >= 3 over nonzero-weight terms so that the CF is integrable.
+    df >= 3 over non-negligible-weight terms so that the CF is integrable.
     """
     if combo.active_df() < 3:
         raise InvalidInputError(
             "characteristic function not integrable: need total df >= 3 on nonzero weights"
         )
+    parts = _cf_polar(combo)
 
     def integrand(t):
-        return float(np.real(cf(combo, t)))
+        # Re cf(combo, t)
+        theta, log_rho = parts(2.0 * t)
+        return math.cos(theta) * math.exp(-log_rho)
 
     scales = _scale_breakpoints(combo)
     T = 50.0 * scales[-1]
@@ -188,26 +229,6 @@ def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
     return val / math.pi
 
 
-def _imhof_parts(combo: Chi2Combo, x: float):
-    w, df, nc = combo.arrays()
-
-    def theta(u):
-        wu = np.multiply.outer(u, w)
-        with np.errstate(over="ignore", invalid="ignore"):
-            frac = wu / (1.0 + wu**2)
-        frac = np.where(np.isfinite(frac), frac, 0.0)
-        return 0.5 * np.sum(df * np.arctan(wu) + nc * frac, axis=-1) - 0.5 * x * u
-
-    def rho(u):
-        wu2 = np.multiply.outer(u, w) ** 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            frac = wu2 / (1.0 + wu2)
-        frac = np.where(np.isfinite(wu2), frac, 1.0)
-        return np.exp(np.sum(0.25 * df * np.log1p(wu2) + 0.5 * nc * frac, axis=-1))
-
-    return theta, rho
-
-
 def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
     """Pr(combination <= x) by the standard inversion integral.
 
@@ -215,12 +236,16 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
     the residual Fourier tail over (T, inf) is handled by QUADPACK's
     oscillatory-weight rule.
     """
-    theta, rho = _imhof_parts(combo, x)
+    parts = _cf_polar(combo)
+    half_x = 0.5 * x
+    # the integrand's limit at u = 0: theta'(0) - x/2, with rho -> 1
+    at_zero = 0.5 * (sum((df + nc) * w for w, df, nc in combo.significant_terms()) - x)
 
     def integrand(u):
         if u == 0.0:
-            return _imhof_limit_at_zero(combo, x)
-        return float(np.sin(theta(u)) / (u * rho(u)))
+            return at_zero
+        theta, log_rho = parts(u)
+        return math.sin(theta - half_x * u) * math.exp(-log_rho) / u
 
     scales = _scale_breakpoints(combo)
     T = 200.0 * scales[-1]
@@ -235,16 +260,18 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
             integrand, T, np.inf, epsabs=tol / 10.0, epsrel=1e-13, limit=2000
         )
     else:
-        # sin(g(u) - x u / 2) with g(u) converging at infinity; split against
-        # QUADPACK's oscillatory Fourier rules with frequency |x|/2
-        omega = 0.5 * abs(x)
+        # sin(theta(u) - x u / 2) with theta(u) converging at infinity; split
+        # against QUADPACK's oscillatory Fourier rules with frequency |x|/2
+        omega = abs(half_x)
         sign = 1.0 if x > 0 else -1.0
 
         def f_sin(u):
-            return float(np.sin(theta(u) + 0.5 * x * u) / (u * rho(u)))
+            theta, log_rho = parts(u)
+            return math.sin(theta) * math.exp(-log_rho) / u
 
         def f_cos(u):
-            return float(np.cos(theta(u) + 0.5 * x * u) / (u * rho(u)))
+            theta, log_rho = parts(u)
+            return math.cos(theta) * math.exp(-log_rho) / u
 
         t1, e1 = scipy.integrate.quad(
             f_sin, T, np.inf, weight="cos", wvar=omega, limit=2000, epsabs=tol / 10.0
@@ -260,9 +287,3 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
         )
     value = 0.5 - (main + tail) / math.pi
     return min(max(value, 0.0), 1.0)
-
-
-def _imhof_limit_at_zero(combo: Chi2Combo, x: float) -> float:
-    # theta(u)/u -> (sum(df*w + nc*w) - x)/2 as u -> 0, rho -> 1
-    w, df, nc = combo.arrays()
-    return 0.5 * (float(np.sum(df * w + nc * w)) - x)

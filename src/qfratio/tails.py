@@ -120,34 +120,33 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
     if W_J <= 0.0:
         raise NumericalError(f"nonpositive Jacobian weight W_J={W_J:g}")
 
-    def base_terms():
-        # zero-weight (omega_i = 0) chi-square terms carry no mass and are dropped
-        return [(eta1[i], 1, 2.0 * eta2[i]) for i in range(m) if eta1[i] > 0.0]
+    # zero-weight (omega_i = 0) chi-square terms carry no mass and are dropped
+    base = [(eta1[i], 1, 2.0 * eta2[i]) for i in range(m) if eta1[i] > 0.0]
+    cache: dict = {}
 
-    def d0(extra, df_central):
-        terms = base_terms() + extra + [(-1.0 / (2.0 * u0), df_central, 0.0)]
-        return density_at_zero(Chi2Combo(tuple(terms)), tol=quad_tol)
+    def d0(extra_idx, df_central):
+        # one quadrature per distinct combination: with equal eta1 entries
+        # (beta family, clusters) every index set shifts the same combination.
+        # density_at_zero depends on the significant terms only.
+        extra = [(eta1[i], 2, 0.0) for i in extra_idx if eta1[i] > 0.0]
+        combo = Chi2Combo(tuple(base + extra + [(-1.0 / (2.0 * u0), df_central, 0.0)]))
+        key = combo.significant_terms()
+        if key not in cache:
+            cache[key] = density_at_zero(combo, tol=quad_tol)
+        return cache[key]
 
-    re_cdf = _SQRT_2PI * d0([], n - m + 2)
+    re_cdf = _SQRT_2PI * d0((), n - m + 2)
 
     # density limit: diagonal and cross terms, each with its own shifted combo
     num = 0.0
-    cache: dict = {}
-
-    def d0_cached(extra_key):
-        if extra_key not in cache:
-            extra = [(eta1[i], 2, 0.0) for i in extra_key if eta1[i] > 0.0]
-            cache[extra_key] = d0(extra, n - m)
-        return cache[extra_key]
-
     for i in range(m):
         if H[i, i] != 0.0:
-            num += H[i, i] * eta3[i] * d0_cached((i,))
+            num += H[i, i] * eta3[i] * d0((i,), n - m)
         for j in range(m):
             hij = H[i, j]
             if hij == 0.0 or nu0[i] == 0.0 or nu0[j] == 0.0:
                 continue
-            num += nu0[i] * nu0[j] * eta3[i] * eta3[j] * hij * d0_cached(tuple(sorted((i, j))))
+            num += nu0[i] * nu0[j] * eta3[i] * eta3[j] * hij * d0(sorted((i, j)), n - m)
     re_pdf = _SQRT_2PI * num / W_J
     return TailLimitMultiple(
         t0=t0, u0=u0, eta1=eta1, eta2=eta2, eta3=eta3,

@@ -1,6 +1,7 @@
 """Special functions and chi-square-combination kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from qfratio import (
     erf,
     hyp1f1,
     imhof_cdf,
+    imhof_cdf_of_R,
     ln_beta,
     ln_hyp1f1,
+    new_ratio,
     stirling_beta_hat,
     stirling_gamma_hat,
 )
-from qfratio.specfun import cf
+from qfratio.specfun import _cf_polar, cf
 
 from conftest import rng_for
 
@@ -182,3 +185,86 @@ def test_imhof_limits():
     combo = Chi2Combo(((1.0, 2, 0.0), (-0.5, 2, 1.0)))
     assert imhof_cdf(combo, 200.0) == pytest.approx(1.0, abs=1e-8)
     assert imhof_cdf(combo, -200.0) == pytest.approx(0.0, abs=1e-8)
+
+
+def _numpy_theta_rho(combo, u):
+    """The former vectorized Imhof phase (at x = 0) and modulus rho."""
+    w, df, nc = combo.arrays()
+    wu = np.multiply.outer(u, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frac = wu / (1.0 + wu**2)
+        frac2 = wu**2 / (1.0 + wu**2)
+        frac = np.where(np.isfinite(frac), frac, 0.0)
+        frac2 = np.where(np.isfinite(wu**2), frac2, 1.0)
+        rho = np.exp(np.sum(0.25 * df * np.log1p(wu**2) + 0.5 * nc * frac2, axis=-1))
+    theta = 0.5 * np.sum(df * np.arctan(wu) + nc * frac, axis=-1)
+    return theta, rho
+
+
+def test_cf_polar_matches_cf_and_numpy_formulas():
+    # the scalar kernel of both inversions: cos(theta) e^(-log rho) at u = 2t
+    # is Re cf(t) (density_at_zero), sin(theta) e^(-log rho) / u is Imhof's
+    # integrand at x = 0; errors are measured against the modulus
+    rng = rng_for(7301)
+    for _ in range(20):
+        k = int(rng.integers(1, 9))
+        w = rng.uniform(0.05, 3.0, k) * rng.choice([-1.0, 1.0], k)
+        df = rng.integers(1, 6, k)
+        nc = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 5.0, k))
+        combo = Chi2Combo(tuple(zip(w, df, nc)))
+        u = 10.0 ** rng.uniform(-4.0, 4.0, 200) / np.median(np.abs(w))
+        u[:3] = (1e-300, 1e155, 1e160)  # underflow and x^2 overflow
+        parts = _cf_polar(combo)
+        got = np.array([parts(float(ui)) for ui in u])
+        theta, log_rho = got[:, 0], got[:, 1]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            ref = cf(combo, u / 2.0)
+        mod = np.abs(ref)
+        assert np.allclose(np.exp(-log_rho), mod, rtol=1e-13, atol=0.0)
+        assert np.all(np.abs(np.cos(theta) * np.exp(-log_rho) - ref.real) <= 1e-13 * mod)
+        old_theta, old_rho = _numpy_theta_rho(combo, u)
+        assert np.all(np.abs(theta - old_theta) <= 1e-13 * np.maximum(np.abs(old_theta), 1.0))
+        fin = np.isfinite(old_rho)  # past x^2 overflow the old rho was inf
+        assert np.allclose(np.exp(log_rho[fin]), old_rho[fin], rtol=1e-13, atol=0.0)
+        imhof_new = (np.sin(theta) * np.exp(-log_rho) / u)[fin]
+        imhof_old = (np.sin(old_theta) / (u * old_rho))[fin]
+        assert np.all(np.abs(imhof_new - imhof_old) <= 1e-13 / (u * old_rho)[fin])
+
+
+def _convolution_density_at_zero(a, p, b, q):
+    """Density at 0 of a*chi2(p) - b*chi2(q): int f_{a chi2(p)}(y) f_{b chi2(q)}(y) dy."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a, b = mp.mpf(a), mp.mpf(b)
+
+    def chi2(y, k):
+        return y ** (mp.mpf(k) / 2 - 1) * mp.exp(-y / 2) / (2 ** (mp.mpf(k) / 2) * mp.gamma(mp.mpf(k) / 2))
+
+    def f(y):
+        return chi2(y / a, p) / a * chi2(y / b, q) / b
+
+    return float(mp.quad(f, [0, b, a, 10 * a, 100 * a, mp.inf]))
+
+
+def test_density_at_zero_rounding_level_weight():
+    # the Durbin-Watson n = 20 edge leaves omega = 4.6e-16 where the exact
+    # value is 0; its term must not stretch the quadrature to 50/|w| ~ 3e18
+    tiny, a, b = 1.7554246404372988e-17, 0.6871842709362767, 0.04042260417272218
+    for q in (19, 17):
+        combo = Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, q, 0.0)))
+        exact = _convolution_density_at_zero(a, 1, b, q)
+        assert density_at_zero(combo) == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, 19, 0.0))).active_df() == 20.0
+
+
+def test_imhof_log_space_raises_no_overflow_warning():
+    # mu = 30 makes rho overflow double range at moderate u; the values are
+    # those of the former formula, which warned 86 to 110 times per point
+    rt = new_ratio(np.diag([1.0, -1.0, 0.5, -0.5]), np.eye(4), 30.0 * np.ones(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        body = imhof_cdf_of_R(rt, -0.02)
+        tail = imhof_cdf_of_R(rt, -0.5)
+    assert 0.01 <= body <= 0.99
+    assert body == pytest.approx(0.22380195717629991, abs=1e-12)
+    assert tail == pytest.approx(0.0, abs=1e-12)

@@ -10,6 +10,7 @@ from qfratio import (
     beta_limit,
     beta_matrices,
     central_ratio,
+    durbin_watson,
     edge_structure,
     limit_multiple,
     limit_simple,
@@ -18,7 +19,10 @@ from qfratio import (
     stirling_gamma_hat,
     support,
 )
+from qfratio import tails
 from qfratio.support import EdgeStructure
+
+from conftest import random_case1, random_case2b, rng_for
 
 
 def _edge(m, nu0, omega, H=None, side="right"):
@@ -142,3 +146,73 @@ def test_ratio_n2_tail_limits_match_simple():
         edge = edge_structure(rt, info, side)
         lim = limit_multiple(2, edge)
         assert lim.RE_cdf == pytest.approx(limit_simple(2, 2.0).RE, abs=1e-5)
+
+
+# (RE_cdf, RE_pdf) of the parent implementation (numpy integrands), per edge
+_LIMIT_GOLDENS = {
+    ("ratio_n2", "right"): (0.8222154326625325, 0.8222154326625327),
+    ("ratio_n2", "left"): (0.8222154326625325, 0.8222154326625327),
+    ("ls_serial", "right"): (0.7846914388205314, 0.784691438820531),
+    ("ls_serial", "left"): (0.7846914388205314, 0.784691438820531),
+    ("beta63", "right"): (0.9169125823728471, 0.9169125823728499),
+    ("beta63", "left"): (0.9213177319235611, 0.9213177319235611),
+    ("beta104", "right"): (0.9473369081083538, 0.9473369081082587),
+    ("beta104", "left"): (0.9489739502331547, 0.948973950233156),
+    ("case1", "right"): (0.8410133751821105, 0.8410133751821102),
+    ("case1", "left"): (0.8372034285370741, 0.837203428537074),
+    ("case2b", "right"): (0.8405925549767034, 0.8405925549767035),
+}
+
+
+def _golden_instances():
+    return {
+        "ratio_n2": ratio_n2(0.2, 2.0),
+        "ls_serial": ls_serial_corr(3, 2, mu=np.array([0.4, -1.2, 0.7])),
+        "beta63": beta_matrices(6, 3, np.array([0.8, -0.5, 0.3])),
+        "beta104": beta_matrices(10, 4, np.array([0.6, -1.1, 0.2, 0.9])),
+        "case1": random_case1(6, rng_for(606)),
+        "case2b": random_case2b(6, rng_for(607), p=2),
+    }
+
+
+def test_limit_multiple_goldens():
+    insts = _golden_instances()
+    for (name, side), (re_cdf, re_pdf) in _LIMIT_GOLDENS.items():
+        rt = insts[name]
+        lim = limit_multiple(rt.n, edge_structure(rt, support(rt), side))
+        assert lim.RE_cdf == pytest.approx(re_cdf, rel=1e-10, abs=0.0)
+        assert lim.RE_pdf == pytest.approx(re_pdf, rel=1e-10, abs=0.0)
+
+
+def test_durbin_watson_edge_matches_simple_limit():
+    # Durbin-Watson with n = 20 and regressors [1, t] has a simple vanishing
+    # eigenvalue with nu0 = 0 in n - p = 18 dimensions; the edge structure
+    # reports omega = (0, ~4e-16, 1), and the rounding-level rate must not
+    # move the constants off limit_simple(18, 0)
+    rt = durbin_watson(20, np.column_stack([np.ones(20), np.arange(20.0)]))
+    info = support(rt)
+    expected = limit_simple(18, 0.0).RE
+    for side in ("right", "left"):
+        lim = limit_multiple(rt.n, edge_structure(rt, info, side))
+        assert lim.RE_cdf == pytest.approx(expected, rel=1e-9)
+        assert lim.RE_pdf == pytest.approx(expected, rel=1e-9)
+
+
+def test_limit_multiple_integrates_each_distinct_combo_once(monkeypatch):
+    # equal eta1 entries: every (i,) and (i, j) shift gives the same combo
+    rt = beta_matrices(10, 4, np.array([0.6, -1.1, 0.2, 0.9]))
+    edge = edge_structure(rt, support(rt), "right")
+    assert edge.m == 4
+    assert np.array_equal(edge.H_edge, np.diag(np.diag(edge.H_edge)))
+    assert np.all(edge.nu0 != 0.0)
+    seen = []
+    inner = tails.density_at_zero
+
+    def counted(combo, tol=1e-10):
+        seen.append(combo.terms)
+        return inner(combo, tol=tol)
+
+    monkeypatch.setattr(tails, "density_at_zero", counted)
+    lim = limit_multiple(rt.n, edge)
+    assert len(seen) == len(set(seen)) == 3
+    assert lim.RE_cdf == pytest.approx(_LIMIT_GOLDENS[("beta104", "right")][0], rel=1e-10)
