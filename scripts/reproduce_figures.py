@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the diagnostic data files for the heavy-tailed n = 2 example.
 
-Writes three CSVs (exact vs approximate density, density error ratios, CDF
-tail error ratios) into the output directory.  Pass --problem to run the
+Writes two CSVs (exact vs approximate density with their ratio, CDF tail
+error ratios) into the output directory.  Pass --problem to run the
 same diagnostics on any problem JSON instead.
 """
 

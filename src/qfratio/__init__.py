@@ -40,7 +40,6 @@ from .saddlepoint import (
 from .specfun import (
     Chi2Combo,
     density_at_zero,
-    erf,
     hyp1f1,
     imhof_cdf,
     ln_beta,
@@ -52,7 +51,6 @@ from .support import (
     BlockDecomp,
     EdgeStructure,
     SupportInfo,
-    classify_tails,
     decompose_B,
     edge_structure,
     support,

@@ -122,21 +122,30 @@ def _parse_grid(args) -> np.ndarray:
     raise InvalidInputError("one of --grid or --points is required")
 
 
-def _emit(records, fieldnames, args):
-    """Write records as JSON lines or CSV, to --out or stdout."""
-    lines = []
-    if args.format == "csv":
-        lines.append(",".join(fieldnames))
-        for rec in records:
-            lines.append(",".join(_fmt(rec[k]) for k in fieldnames))
-    else:
-        for rec in records:
-            lines.append(json.dumps(_jsonable(rec)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+def _write(text: str, out) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_json(doc, out) -> None:
+    _write(json.dumps(_jsonable(doc), indent=2) + "\n", out)
+
+
+def _csv(records, fieldnames) -> str:
+    lines = [",".join(fieldnames)]
+    lines += [",".join(_fmt(rec[k]) for k in fieldnames) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(records, fieldnames, args):
+    """Write records as JSON lines or CSV, to --out or stdout."""
+    if args.format == "csv":
+        _write(_csv(records, fieldnames), args.out)
+    else:
+        _write("\n".join(json.dumps(_jsonable(rec)) for rec in records) + "\n", args.out)
 
 
 def _cmd_analyze(args):
@@ -162,11 +171,7 @@ def _cmd_analyze(args):
             "omega": edge.omega,
             "H_edge": edge.H_edge,
         }
-    text = json.dumps(_jsonable(out), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(out, args.out)
     return 0
 
 
@@ -195,12 +200,7 @@ def _cmd_build(args):
         ratio = builders.beta_matrices(args.n, args.m, mu=mu, tol=tol)
     else:
         raise InvalidInputError(f"unknown builder kind {args.kind!r}")
-    doc = {"A": _jsonable(ratio.A), "B": _jsonable(ratio.B), "mu": _jsonable(ratio.mu)}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json({"A": ratio.A, "B": ratio.B, "mu": ratio.mu}, args.out)
     return 0
 
 
@@ -251,11 +251,7 @@ def _cmd_tail_limit(args):
             "RE_cdf": lim.RE_cdf,
             "RE_pdf": lim.RE_pdf,
         }
-    text = json.dumps(_jsonable(out), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(out, args.out)
     return 0
 
 
@@ -342,24 +338,12 @@ def _cmd_figure(args):
         dens_records.append({"r": float(r), "exact": exact, "approx": approx.value,
                              "ratio": ratio_value, "se": 0.0})
     tail_records = _oracle_records(ratio, tail_grid, tol, args.draws, args.seed, exact_cdf)
-    ratio_records = [
-        {"r": rec["r"], "exact": rec["exact"], "approx": rec["approx"],
-         "ratio": rec["ratio"], "se": rec["se"]}
-        for rec in dens_records
-    ]
-    for name, records in (
-        ("density_comparison.csv", dens_records),
-        ("density_ratios.csv", ratio_records),
-        ("cdf_tail_ratios.csv", tail_records),
-    ):
-        lines = [",".join(_ORACLE_FIELDS)]
-        lines += [",".join(_fmt(rec[k]) for k in _ORACLE_FIELDS) for rec in records]
-        (out_dir / name).write_text("\n".join(lines) + "\n")
-    sys.stdout.write(json.dumps({"written": [
-        str(out_dir / "density_comparison.csv"),
-        str(out_dir / "density_ratios.csv"),
-        str(out_dir / "cdf_tail_ratios.csv"),
-    ]}) + "\n")
+    written = []
+    for name, records in (("density_comparison.csv", dens_records),
+                          ("cdf_tail_ratios.csv", tail_records)):
+        _write(_csv(records, _ORACLE_FIELDS), out_dir / name)
+        written.append(str(out_dir / name))
+    sys.stdout.write(json.dumps({"written": written}) + "\n")
     return 0
 
 
@@ -422,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte-Carlo draws (0 uses the exact inversion oracle)")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("figure", help="emit density/ratio/tail CSV data files")
+    p = sub.add_parser("figure", help="emit density and CDF-tail CSV data files")
     _add_common(p, problem_required=False)
     _add_grid(p)
     p.add_argument("--seed", type=int, default=0)

@@ -107,10 +107,6 @@ def stirling_gamma_hat(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * x ** (x - 0.5) * math.exp(-x)
 
 
-def erf(x: float) -> float:
-    return math.erf(x)
-
-
 @dataclass(frozen=True)
 class Chi2Combo:
     """Signed combination sum_j w_j * chi2(df_j, nc_j) of independent terms."""
@@ -236,6 +232,8 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
     the residual Fourier tail over (T, inf) is handled by QUADPACK's
     oscillatory-weight rule.
     """
+    if not combo.significant_terms():
+        raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
     parts = _cf_polar(combo)
     half_x = 0.5 * x
     # the integrand's limit at u = 0: theta'(0) - x/2, with rho -> 1

@@ -23,7 +23,7 @@ from .core import (
     is_degenerate,
     negate,
 )
-from .errors import InvalidInputError, NumericalError, UnsupportedInstanceError
+from .errors import InvalidInputError, UnsupportedInstanceError
 
 CASE_1 = "Case1"
 CASE_2A = "Case2a"
@@ -61,10 +61,15 @@ class SupportInfo:
 class EdgeStructure:
     """Limiting data at one edge of support.
 
-    For side="left" all quantities refer to the right edge of -R.
-    omega is ascending with omega[-1] == 1; H_edge is PSD and, when the
-    edge is at infinity, normalized to unit spectral norm (the density
-    limit is invariant to the scale of H_edge).
+    The m pencil eigenvalues that vanish at the edge have limiting
+    eigenvectors P (columns in the basis that diagonalizes their rates);
+    nu0 = P'mu.  Just inside a finite edge r_bar they vanish like
+    (r_bar - r) * g, and at r = infinity like eps^2 * g in eps*A - B, both
+    in closed form.  omega = g / max(g) is ascending with omega[-1] == 1
+    and rounding-level rates set to 0.  H_edge = diag(g) at a finite edge
+    and diag(omega), unit spectral norm, at infinity (the density limit
+    is invariant to the scale of H_edge).  For side="left" all quantities
+    refer to the right edge of -R.
     """
 
     side: str
@@ -113,33 +118,19 @@ def _right_edge(ratio: QuadFormRatio, tol: Tolerances):
     if np.any(eig_c22 > zero_tol):
         return np.inf, CASE_2A, bd
     negative = eig_c22 < -zero_tol
-    if np.all(negative):
-        # case 2(b): invert C22 through a Cholesky factor of -C22
-        try:
-            cf = scipy.linalg.cho_factor(-bd.C22)
-            M = bd.C11 + bd.C12 @ scipy.linalg.cho_solve(cf, bd.C21)
-        except scipy.linalg.LinAlgError:
-            # borderline negative-definite; fall through to the 2(c) route
-            negative = eig_c22 < -zero_tol
-        else:
-            return _pencil_extremes(M, bd.Lambda_B)[1], CASE_2B, bd
-    # case 2(c): C22 <= 0 with a zero eigenvalue
-    null_idx = np.nonzero(~negative)[0]
-    null_basis = O_C[:, null_idx]
+    # case 2(c) with C12 reaching a null direction of C22: unbounded above.
+    # A numerically-zero C12 block trivially satisfies the inclusion.
     c12_norm = np.linalg.norm(bd.C12)
-    # a numerically-zero C12 block trivially satisfies the inclusion
     if c12_norm > tol.tol_zero_eig * scale_a and np.any(
-        np.linalg.norm(bd.C12 @ null_basis, axis=0) > tol.tol_zero_eig * c12_norm
+        np.linalg.norm(bd.C12 @ O_C[:, ~negative], axis=0) > tol.tol_zero_eig * c12_norm
     ):
         return np.inf, CASE_2C_INFINITE, bd
-    neg_idx = np.nonzero(negative)[0]
-    if neg_idx.size:
-        O_C1 = O_C[:, neg_idx]
-        Lam_C = eig_c22[neg_idx]
-        M = bd.C11 - (bd.C12 @ O_C1) @ np.diag(1.0 / Lam_C) @ (O_C1.T @ bd.C21)
-    else:
-        M = bd.C11
-    return _pencil_extremes(M, bd.Lambda_B)[1], CASE_2C_FINITE, bd
+    # cases 2(b) (C22 < 0) and 2(c)-finite (C22 <= 0): the edge is the top
+    # eigenvalue of the Schur complement over the negative eigenpairs of C22
+    C12_neg = bd.C12 @ O_C[:, negative]
+    M = bd.C11 - (C12_neg / eig_c22[negative]) @ C12_neg.T
+    tag = CASE_2B if np.all(negative) else CASE_2C_FINITE
+    return _pencil_extremes(M, bd.Lambda_B)[1], tag, bd
 
 
 def support(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> SupportInfo:
@@ -163,124 +154,73 @@ def support(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> SupportInfo:
     )
 
 
-def classify_tails(ratio: QuadFormRatio, info: SupportInfo):
-    """(in_CR, in_CL) per the Lemma-4 case test."""
-    return info.in_CR, info.in_CL
+def _edge_from_rates(
+    ratio: QuadFormRatio,
+    basis: np.ndarray,
+    rates: np.ndarray,
+    r_edge: float,
+    floor: float,
+    tol: Tolerances,
+) -> EdgeStructure:
+    """Edge data from a basis of the vanishing cluster and its rate matrix.
+
+    The eigenvectors W of the symmetric rate matrix give the edge basis
+    P = basis @ W and its eigenvalues g the vanishing rates, so that
+    P'BP is diag(g) up to a common scale.  Rates at most tol_zero_eig times
+    the largest are exact zeros.  H_edge is diag(g) at a finite edge and
+    diag(omega), unit spectral norm, at r = infinity.
+    """
+    g, W = np.linalg.eigh(0.5 * (rates + rates.T))
+    g = np.clip(g, 0.0, None)
+    if g[-1] <= floor:
+        raise UnsupportedInstanceError("B vanishes on the edge null space (top rate is 0)")
+    g[g <= tol.tol_zero_eig * g[-1]] = 0.0
+    omega = g / g[-1]
+    P = fix_eigenvector_signs(basis @ W)
+    return EdgeStructure(
+        side="right",
+        r_edge=float(r_edge),
+        m=basis.shape[1],
+        nu0=_frozen(P.T @ ratio.mu),
+        omega=_frozen(omega),
+        H_edge=_frozen(np.diag(g if np.isfinite(r_edge) else omega)),
+    )
 
 
-def _edge_finite(ratio: QuadFormRatio, r_bar: float, side: str, tol: Tolerances) -> EdgeStructure:
-    M0 = ratio.A - r_bar * ratio.B
-    lam, V = np.linalg.eigh(M0)
+def _edge_finite(ratio: QuadFormRatio, r_bar: float, tol: Tolerances) -> EdgeStructure:
+    # the cluster U0 of A - r_bar*B eigenvalues that vanish at the edge; just
+    # inside it they move at rates eig(U0'BU0)
+    lam, V = np.linalg.eigh(ratio.A - r_bar * ratio.B)
     scale = max(np.max(np.abs(lam)), 1e-300)
     cluster = np.abs(lam) <= max(tol.tol_zero_eig, 1e-12) * scale
     m = int(np.count_nonzero(cluster))
-    n = ratio.n
     if m == 0:
         raise UnsupportedInstanceError(
             "no vanishing pencil eigenvalue at the support edge (not in the tail class)"
         )
-    if m == n:
-        raise UnsupportedInstanceError("all pencil eigenvalues vanish: degenerate limit")
-    U0 = V[:, cluster]
-    T = 0.5 * ((U0.T @ ratio.B @ U0) + (U0.T @ ratio.B @ U0).T)
-    tau, W = np.linalg.eigh(T)
-    tau = np.clip(tau, 0.0, None)
-    if tau[-1] <= tol.tol_zero_eig * max(np.max(np.linalg.eigvalsh(ratio.B)), 1e-300):
-        raise UnsupportedInstanceError("B vanishes on the edge null space (tau_n = 0)")
-    omega = np.clip(tau / tau[-1], 0.0, 1.0)
-    omega[-1] = 1.0
-    P2 = fix_eigenvector_signs(U0 @ W)
-    nu0 = P2.T @ ratio.mu
-    H_edge = 0.5 * ((P2.T @ ratio.B @ P2) + (P2.T @ ratio.B @ P2).T)
-    return EdgeStructure(
-        side=side,
-        r_edge=float(r_bar),
-        m=m,
-        nu0=_frozen(nu0),
-        omega=_frozen(omega),
-        H_edge=_frozen(H_edge),
-    )
-
-
-def _trailing_eigendata(M: np.ndarray, m: int):
-    lam, V = np.linalg.eigh(M)
-    return lam[-m:], fix_eigenvector_signs(V[:, -m:])
-
-
-def _align_columns(V: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    V = V.copy()
-    for j in range(V.shape[1]):
-        if float(V[:, j] @ ref[:, j]) < 0:
-            V[:, j] = -V[:, j]
-    return V
-
-
-def _edge_infinite(ratio: QuadFormRatio, side: str, tol: Tolerances) -> EdgeStructure:
-    bd = decompose_B(ratio, tol)
-    scale_a = max(np.max(np.abs(np.linalg.eigvalsh(ratio.A))), 1e-300)
-    eig_c22 = np.linalg.eigvalsh(bd.C22) if bd.p else np.empty(0)
-    m = int(np.count_nonzero(np.abs(eig_c22) <= tol.tol_zero_eig * scale_a))
-    if m == 0:
-        raise UnsupportedInstanceError("r_bar = infinity outside case 2(c)")
     if m == ratio.n:
         raise UnsupportedInstanceError("all pencil eigenvalues vanish: degenerate limit")
-    A, B = np.asarray(ratio.A), np.asarray(ratio.B)
+    U0 = V[:, cluster]
+    floor = tol.tol_zero_eig * max(np.max(np.linalg.eigvalsh(ratio.B)), 1e-300)
+    return _edge_from_rates(ratio, U0, U0.T @ ratio.B @ U0, r_bar, floor, tol)
 
-    # relative rates omega from second differences of the eigenvalues of
-    # eps*A - B; their leading term is quadratic in eps, so a two-point
-    # Richardson step in eps^2 removes the next-order error.
-    def curvatures(eps):
-        psi_p, _ = _trailing_eigendata(eps * A - B, m)
-        psi_m, _ = _trailing_eigendata(-eps * A - B, m)
-        return (psi_p + psi_m) / eps**2
 
-    c_coarse, c_fine = curvatures(1e-3), curvatures(1e-4)
-    curv = (100.0 * c_fine - c_coarse) / 99.0
-    if curv[-1] <= 0:
-        raise UnsupportedInstanceError("top pencil eigenvalue does not vanish quadratically")
-    omega = np.clip(curv / curv[-1], 0.0, 1.0)
-    omega[-1] = 1.0
-
-    # limiting eigenvectors at a small-eps ladder, Richardson-extrapolated
-    # (eigenvector error is first order in eps)
-    ladder = (1e-4, 1e-5, 1e-6)
-    vecs = []
-    prev = None
-    for eps in ladder:
-        _, P2 = _trailing_eigendata(eps * A - B, m)
-        if prev is not None:
-            P2 = _align_columns(P2, prev)
-        vecs.append(P2)
-        prev = P2
-    extrap = [(10.0 * vecs[i + 1] - vecs[i]) / 9.0 for i in range(len(vecs) - 1)]
-    if np.max(np.abs(extrap[-1] - extrap[-2])) > 1e-5:
-        raise NumericalError("limiting eigenvectors at r = infinity did not converge")
-    P20 = extrap[-1]
-    nu0 = P20.T @ ratio.mu
-
-    # the raw block vanishes like eps^2 at an infinite edge; only its shape
-    # matters (the density limit is scale invariant), so normalize each rung
-    # to unit spectral norm before extrapolating
-    hs = []
-    for V in vecs:
-        h = V.T @ B @ V
-        h = 0.5 * (h + h.T)
-        norm = np.linalg.norm(h, 2)
-        if norm <= 0:
-            raise NumericalError("H_edge vanished identically at the infinite edge")
-        hs.append(h / norm)
-    H_edge = (10.0 * hs[2] - hs[1]) / 9.0
-    w = np.linalg.eigvalsh(H_edge)
-    if w[0] < -1e-8:
-        raise NumericalError("H_edge lost positive semidefiniteness")
-    return EdgeStructure(
-        side=side,
-        r_edge=np.inf,
-        m=m,
-        nu0=_frozen(nu0),
-        omega=_frozen(omega),
-        H_edge=_frozen(H_edge),
-    )
+def _edge_infinite(ratio: QuadFormRatio, tol: Tolerances) -> EdgeStructure:
+    # In the eigenbasis of B the pencil eps*A - B is eps*C - diag(Lambda_B, 0).
+    # Its eigenvalues on null(B) are eps*eig(C22) to first order; on the null
+    # directions N of C22 second-order degenerate perturbation theory gives
+    # eps^2 * eig(G), G = N'C21 Lambda_B^-1 C12 N, with eigenvectors tending
+    # to null(B)-coordinates N @ W.  Their B-block is eps^2 * W'GW.
+    bd = decompose_B(ratio, tol)
+    scale_a = max(np.max(np.abs(np.linalg.eigvalsh(ratio.A))), 1e-300)
+    eig_c22, O_C = np.linalg.eigh(bd.C22)
+    N = O_C[:, np.abs(eig_c22) <= tol.tol_zero_eig * scale_a]
+    if N.shape[1] == 0:
+        raise UnsupportedInstanceError("r_bar = infinity outside case 2(c)")
+    C12N = bd.C12 @ N
+    G = C12N.T @ (C12N / bd.Lambda_B[:, None])
+    basis = bd.O_B.T[:, ratio.n - bd.p:] @ N
+    return _edge_from_rates(ratio, basis, G, np.inf, 0.0, tol)
 
 
 def edge_structure(
@@ -301,5 +241,5 @@ def edge_structure(
     if not info.in_CR:
         raise UnsupportedInstanceError("ratio is not in the right tail class")
     if np.isfinite(info.r_bar):
-        return _edge_finite(ratio, info.r_bar, "right", tol)
-    return _edge_infinite(ratio, "right", tol)
+        return _edge_finite(ratio, info.r_bar, tol)
+    return _edge_infinite(ratio, tol)

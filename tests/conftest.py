@@ -42,6 +42,29 @@ def random_case2b(n, rng, p=1, with_mean=True):
     return new_ratio(A, B, mu)
 
 
+def random_case2c_infinite(n, rng, p=3):
+    """Singular B with C22 = diag(-1, 0, ..., 0): case 2c at r = infinity, m = p - 1."""
+    k = n - p
+    B = np.zeros((n, n))
+    B[:k, :k] = random_spd(k, rng)
+    A = random_symmetric(n, rng)
+    A[k:, k:] = np.diag([-1.0] + [0.0] * (p - 1))
+    return new_ratio(A, B, rng.standard_normal(n))
+
+
+def direct_edge_data(rt, m, eps=1e-5):
+    """omega, sorted nu0^2 and eig(H_edge) from the m eigenvalues of eps*A - B nearest 0.
+
+    Reference data for an edge at r = infinity, accurate to O(eps).
+    """
+    lam, V = np.linalg.eigh(eps * np.asarray(rt.A) - np.asarray(rt.B))
+    idx = np.sort(np.argsort(np.abs(lam))[:m])
+    P = V[:, idx]
+    h = P.T @ np.asarray(rt.B) @ P
+    return (lam[idx] / lam[idx[-1]], np.sort((P.T @ np.asarray(rt.mu)) ** 2),
+            np.linalg.eigvalsh(h) / np.linalg.norm(h, 2))
+
+
 @pytest.fixture
 def rng():
     return rng_for(20240824)

@@ -88,6 +88,35 @@ def test_tail_limit_beta(tmp_path, capsys):
     assert doc["right"]["RE_cdf"] == pytest.approx(0.8222, abs=5e-4)
 
 
+def test_analyze_and_tail_limit_multiple_infinite_edge(tmp_path, capsys):
+    # m = 2 vanishing eigenvalues at r = infinity: both verbs report the
+    # library's edge structure and constants, and omega agrees with the
+    # eigen-data of eps*A - B at eps = 1e-5
+    from conftest import direct_edge_data, random_case2c_infinite, rng_for
+    from qfratio import edge_structure, limit_multiple, support
+
+    rt = random_case2c_infinite(6, rng_for(900))
+    path = tmp_path / "case2c.json"
+    path.write_text(json.dumps({"A": rt.A.tolist(), "B": rt.B.tolist(), "mu": rt.mu.tolist()}))
+    edge = edge_structure(rt, support(rt), "right")
+    lim = limit_multiple(rt.n, edge)
+
+    code, out, _ = run_cli(capsys, "analyze", "--problem", str(path))
+    assert code == 0
+    right = json.loads(out)["edges"]["right"]
+    assert right["m"] == 2 and right["r_edge"] == "inf"
+    assert np.allclose(right["omega"], direct_edge_data(rt, 2)[0], rtol=0.0, atol=1e-4)
+    assert np.allclose(right["omega"], edge.omega, rtol=1e-12, atol=0.0)
+    assert np.allclose(right["H_edge"], edge.H_edge, rtol=1e-12, atol=0.0)
+
+    code, out, _ = run_cli(capsys, "tail-limit", "--problem", str(path), "--side", "right")
+    assert code == 0
+    right = json.loads(out)["right"]
+    assert np.allclose(right["omega"], edge.omega, rtol=1e-12, atol=0.0)
+    assert right["RE_cdf"] == pytest.approx(lim.RE_cdf, rel=1e-12)
+    assert right["RE_pdf"] == pytest.approx(lim.RE_pdf, rel=1e-12)
+
+
 def test_oracle_reproducible(heavy_tail_problem, capsys):
     args = ("oracle", "--problem", heavy_tail_problem, "--points=-3,1", "--format", "csv",
             "--draws", "20000", "--seed", "7")
@@ -111,13 +140,15 @@ def test_oracle_draws_shared_across_grid(heavy_tail_problem, capsys):
         assert (rec["exact"], rec["se"]) == (est.value, est.std_error)
 
 
-def test_figure_writes_three_csvs(heavy_tail_problem, tmp_path, capsys):
+def test_figure_writes_density_and_tail_csvs(heavy_tail_problem, tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(
         capsys, "figure", "--out", str(out_dir), "--grid=-10:10:21"
     )
     assert code == 0
-    for name in ("density_comparison.csv", "density_ratios.csv", "cdf_tail_ratios.csv"):
+    names = ("density_comparison.csv", "cdf_tail_ratios.csv")
+    assert json.loads(out)["written"] == [str(out_dir / name) for name in names]
+    for name in names:
         lines = (out_dir / name).read_text().strip().splitlines()
         assert lines[0] == "r,exact,approx,ratio,se"
         assert len(lines) > 2

@@ -14,7 +14,6 @@ from qfratio import (
     Chi2Combo,
     InvalidInputError,
     density_at_zero,
-    erf,
     hyp1f1,
     imhof_cdf,
     imhof_cdf_of_R,
@@ -86,11 +85,6 @@ def test_stirling_gamma_converges():
     )
 
 
-def test_erf_endpoints():
-    assert erf(0.0) == 0.0
-    assert erf(50.0) == pytest.approx(1.0, abs=1e-15)
-
-
 def test_chi2combo_validation():
     with pytest.raises(InvalidInputError):
         Chi2Combo(())
@@ -131,6 +125,15 @@ def test_density_at_zero_normal_difference():
 def test_density_at_zero_integrability_guard():
     with pytest.raises(InvalidInputError):
         density_at_zero(Chi2Combo(((1.0, 1, 0.0), (-1.0, 1, 0.0))))
+
+
+def test_imhof_all_zero_weights_is_invalid_input():
+    # a point mass at 0 has no inversion integral; density_at_zero rejects it too
+    combo = Chi2Combo(((0.0, 1, 0.0),))
+    with pytest.raises(InvalidInputError):
+        imhof_cdf(combo, 0.5)
+    with pytest.raises(InvalidInputError):
+        density_at_zero(combo)
 
 
 def test_imhof_symmetry():

@@ -18,7 +18,7 @@ from qfratio import (
     support,
 )
 
-from conftest import random_case1, random_case2b, rng_for
+from conftest import direct_edge_data, random_case1, random_case2b, random_case2c_infinite, rng_for
 
 
 def test_decompose_B_rank_one_offdiag():
@@ -103,6 +103,35 @@ def test_case2b_edge(rng):
         assert math.isfinite(info.r_bar)
         lam = np.asarray(spectrum_at(rt, info.r_bar).lambdas)
         assert abs(lam[-1]) <= 1e-8 * np.max(np.abs(lam))
+
+
+def test_case2b_tag_and_schur_edge():
+    # C22 < 0: the edge is the top eigenvalue of the pencil
+    # (C11 + C12 (-C22)^-1 C21, Lambda_B)
+    for seed in range(5):
+        rt = random_case2b(6, rng_for(400 + seed), p=2)
+        info = support(rt)
+        assert info.case_tag == "Case2b"
+        bd = decompose_B(rt)
+        M = bd.C11 + bd.C12 @ np.linalg.solve(-bd.C22, bd.C21)
+        top = np.linalg.eigvals(np.linalg.solve(np.diag(bd.Lambda_B), M)).real.max()
+        assert info.r_bar == pytest.approx(top, rel=1e-10)
+
+
+def test_edge_structure_infinite_multiple_matches_small_eps():
+    # m = 2 at r = infinity with a negative direction in C22: the closed form
+    # agrees with the eigen-data of eps*A - B at eps = 1e-5 up to O(eps)
+    for seed in range(900, 906):
+        rt = random_case2c_infinite(6, rng_for(seed))
+        info = support(rt)
+        assert info.case_tag == "Case2c-infinite"
+        edge = edge_structure(rt, info, "right")
+        assert edge.m == 2 and math.isinf(edge.r_edge)
+        omega, nu0sq, h = direct_edge_data(rt, edge.m)
+        assert np.allclose(edge.omega, omega, rtol=0.0, atol=1e-4)
+        assert np.allclose(np.sort(edge.nu0**2), nu0sq, rtol=0.0, atol=1e-4)
+        assert np.allclose(np.linalg.eigvalsh(edge.H_edge), h, rtol=0.0, atol=1e-4)
+        assert np.array_equal(edge.H_edge, np.diag(edge.omega))
 
 
 def test_edge_structure_beta():

@@ -145,7 +145,8 @@ def test_ratio_n2_tail_limits_match_simple():
     for side in ("right", "left"):
         edge = edge_structure(rt, info, side)
         lim = limit_multiple(2, edge)
-        assert lim.RE_cdf == pytest.approx(limit_simple(2, 2.0).RE, abs=1e-5)
+        assert lim.RE_cdf == pytest.approx(limit_simple(2, 2.0).RE, rel=1e-13, abs=0.0)
+        assert lim.RE_pdf == pytest.approx(limit_simple(2, 2.0).RE, rel=1e-13, abs=0.0)
 
 
 # (RE_cdf, RE_pdf) of the parent implementation (numpy integrands), per edge
@@ -185,15 +186,21 @@ def test_limit_multiple_goldens():
 
 
 def test_durbin_watson_edge_matches_simple_limit():
-    # Durbin-Watson with n = 20 and regressors [1, t] has a simple vanishing
-    # eigenvalue with nu0 = 0 in n - p = 18 dimensions; the edge structure
-    # reports omega = (0, ~4e-16, 1), and the rounding-level rate must not
-    # move the constants off limit_simple(18, 0)
+    # Durbin-Watson with n = 20 and regressors [1, t]: the edge cluster has
+    # m = 3, but two of its directions span the regressors, the common null
+    # space of A and B, and vanish at rate 0 for every r.  With rounding-level
+    # rates set to exact zeros, omega = (0, 0, 1) and H_edge is diagonal, and
+    # the constants are those of a simple eigenvalue with nu0 = 0 in
+    # n - p = 18 dimensions, limit_simple(18, 0)
     rt = durbin_watson(20, np.column_stack([np.ones(20), np.arange(20.0)]))
     info = support(rt)
     expected = limit_simple(18, 0.0).RE
     for side in ("right", "left"):
-        lim = limit_multiple(rt.n, edge_structure(rt, info, side))
+        edge = edge_structure(rt, info, side)
+        assert edge.m == 3
+        assert np.array_equal(edge.omega, [0.0, 0.0, 1.0])
+        assert np.array_equal(edge.H_edge, np.diag(np.diag(edge.H_edge)))
+        lim = limit_multiple(rt.n, edge)
         assert lim.RE_cdf == pytest.approx(expected, rel=1e-9)
         assert lim.RE_pdf == pytest.approx(expected, rel=1e-9)
 
