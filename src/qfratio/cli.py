@@ -1,8 +1,9 @@
 """Command-line surface: analyze, build, cdf, pdf, tail-limit, oracle, figure.
 
 Problem files are JSON objects {"A": [[...]], "B": [[...]], "mu": [...]}
-with an optional "sigma" covariance that is folded in by whitening.  All
-numeric output is serialized with 17 significant digits.  The cdf and pdf
+with an optional "sigma" covariance that is folded in by whitening.  JSON
+output prints floats in Python's shortest round-trip form and CSV with 17
+significant digits; both parse back to the same doubles.  The cdf and pdf
 verbs evaluate their whole grid in one batched call and emit it in grid
 order.
 """
@@ -45,7 +46,7 @@ def _jsonable(obj):
             return None
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
-        return float(_fmt(obj))
+        return obj
     if isinstance(obj, np.floating):
         return _jsonable(float(obj))
     if isinstance(obj, (np.integer, int)):
@@ -258,34 +259,26 @@ def _cmd_tail_limit(args):
 _ORACLE_FIELDS = ("r", "exact", "approx", "ratio", "se")
 
 
-def _oracle_records(ratio, grid, tol, draws, seed, exact_fn=None):
-    """Exact (or Monte Carlo) CDF against the approximation at every grid point.
+def _tail_ratio_records(ratio, grid, tol, draws, seed, exact_cdf=None):
+    """Tail ratio records of ``oracle.relative_error_curve`` under the oracle fields.
 
-    Monte Carlo estimates share one set of draws across the grid.
+    With ``draws`` the exact side is Monte Carlo: one draw set serves every
+    grid point and fills the se column.
     """
+    mc = {}
     if draws:
-        exact = [(e.value, e.std_error) for e in oracle.mc_cdf_grid(ratio, grid, draws, seed)]
-    elif exact_fn is not None:
-        exact = [(exact_fn(float(r)), 0.0) for r in grid]
-    else:
-        exact = [(oracle.imhof_cdf_of_R(ratio, float(r), tol), 0.0) for r in grid]
-    records = []
-    for r, approx, (value, se) in zip(grid, saddlepoint.cdf_grid(ratio, grid, tol), exact):
-        if approx.branch != "boundary" and approx.s_hat < 0:
-            ratio_value = value / approx.value if approx.value > 0 else math.nan
-        else:
-            denom = 1.0 - approx.value
-            ratio_value = (1.0 - value) / denom if denom > 0 else math.nan
-        records.append({"r": float(r), "exact": value, "approx": approx.value,
-                        "ratio": ratio_value, "se": se})
-    return records
+        mc = dict(zip(grid.tolist(), oracle.mc_cdf_grid(ratio, grid, draws, seed)))
+        exact_cdf = lambda r: mc[r].value
+    return [{"r": rec["r"], "exact": rec["exact"], "approx": rec["approx"],
+             "ratio": rec["cdf_ratio"], "se": mc[rec["r"]].std_error if mc else 0.0}
+            for rec in oracle.relative_error_curve(ratio, grid, exact_cdf, tol=tol)]
 
 
 def _cmd_oracle(args):
     tol = _parse_tol(args.tol)
     ratio = _load_problem(args.problem, tol)
     grid = _parse_grid(args)
-    _emit(_oracle_records(ratio, grid, tol, args.draws, args.seed), _ORACLE_FIELDS, args)
+    _emit(_tail_ratio_records(ratio, grid, tol, args.draws, args.seed), _ORACLE_FIELDS, args)
     return 0
 
 
@@ -337,7 +330,7 @@ def _cmd_figure(args):
         ratio_value = exact / approx.value if approx.value > 0 else math.nan
         dens_records.append({"r": float(r), "exact": exact, "approx": approx.value,
                              "ratio": ratio_value, "se": 0.0})
-    tail_records = _oracle_records(ratio, tail_grid, tol, args.draws, args.seed, exact_cdf)
+    tail_records = _tail_ratio_records(ratio, tail_grid, tol, args.draws, args.seed, exact_cdf)
     written = []
     for name, records in (("density_comparison.csv", dens_records),
                           ("cdf_tail_ratios.csv", tail_records)):

@@ -27,7 +27,6 @@ class Tolerances:
     """
 
     tol_psd: float = 1e-9
-    tol_orth: float = 1e-8
     tol_zero_eig: float = 1e-9
     tol_root: float = 1e-12
     tol_quad: float = 1e-10
@@ -36,7 +35,6 @@ class Tolerances:
     def __post_init__(self):
         for name in (
             "tol_psd",
-            "tol_orth",
             "tol_zero_eig",
             "tol_root",
             "tol_quad",

@@ -15,8 +15,7 @@ import scipy.integrate
 
 from .core import DEFAULT_TOL, QuadFormRatio, Tolerances, spectrum_at
 from .errors import InvalidInputError
-from .saddlepoint import cdf as sp_cdf
-from .saddlepoint import pdf as sp_pdf
+from .saddlepoint import cdf_grid, pdf_grid
 from .specfun import Chi2Combo, imhof_cdf
 
 _MC_CHUNK = 1 << 18
@@ -81,15 +80,9 @@ def mc_cdf(ratio: QuadFormRatio, r: float, n_draws: int = 10**5, seed: int = 0) 
 def imhof_cdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Exact Pr(R <= r) = Pr(X_r <= 0) by inversion of the CF of X_r."""
     spec = spectrum_at(ratio, r, tol)
-    lam = np.asarray(spec.lambdas)
     nu2 = np.asarray(spec.nu) ** 2
-    scale = np.max(np.abs(lam))
-    terms = [
-        (float(l), 1, float(v2))
-        for l, v2 in zip(lam, nu2)
-        if abs(l) > 1e-14 * scale
-    ]
-    return imhof_cdf(Chi2Combo(tuple(terms)), 0.0, tol=tol.tol_quad)
+    combo = Chi2Combo(tuple((l, 1, v2) for l, v2 in zip(spec.lambdas, nu2)))
+    return imhof_cdf(combo, 0.0, tol=tol.tol_quad)
 
 
 def exact_density_n2(mu1: float, mu2: float, r: float) -> float:
@@ -141,23 +134,32 @@ def relative_error_curve(
     """Tail error ratios F/F_hat (left tilt) or (1-F)/(1-F_hat) (right tilt).
 
     exact_cdf/exact_pdf are callables r -> value; the exact CDF defaults to
-    the inversion-integral oracle.  Records carry the density ratio when an
-    exact density is supplied.
+    the inversion-integral oracle.  The approximation is evaluated on the
+    whole grid in one batched call.  Each record carries r, the exact and
+    approximate CDF values, their ratio (nan where its denominator is 0) and
+    s_hat, plus the density ratio when an exact density is supplied.  A grid
+    point outside the open support raises InvalidInputError.
     """
     if exact_cdf is None:
         exact_cdf = lambda r: imhof_cdf_of_R(ratio, r, tol)
+    grid = np.asarray(grid, dtype=float).reshape(-1)
+    approx = cdf_grid(ratio, grid, tol)
+    outside = [r for r, a in zip(grid, approx) if a.branch == "boundary"]
+    if outside:
+        raise InvalidInputError(f"grid point r={outside[0]} is outside the open support")
+    dens = pdf_grid(ratio, grid, tol) if exact_pdf is not None else [None] * grid.size
     records = []
-    for r in np.asarray(grid, dtype=float):
-        approx = sp_cdf(ratio, r, tol)
-        if approx.branch == "boundary":
-            raise InvalidInputError(f"grid point r={r} is outside the open support")
-        exact = exact_cdf(r)
-        if approx.s_hat < 0:
-            ratio_value = exact / approx.value
-        else:
-            ratio_value = (1.0 - exact) / (1.0 - approx.value)
-        rec = {"r": float(r), "cdf_ratio": float(ratio_value), "s_hat": approx.s_hat}
-        if exact_pdf is not None:
-            rec["pdf_ratio"] = float(exact_pdf(r) / sp_pdf(ratio, r, tol).value)
+    for r, a, d in zip(grid.tolist(), approx, dens):
+        exact = float(exact_cdf(r))
+        num, den = (exact, a.value) if a.s_hat < 0 else (1.0 - exact, 1.0 - a.value)
+        rec = {"r": r, "exact": exact, "approx": a.value, "cdf_ratio": _ratio(num, den),
+               "s_hat": a.s_hat}
+        if d is not None:
+            rec["pdf_ratio"] = _ratio(float(exact_pdf(r)), d.value)
         records.append(rec)
     return records
+
+
+def _ratio(num: float, den: float) -> float:
+    """num / den, or nan where the denominator has rounded to 0."""
+    return num / den if den > 0.0 else math.nan

@@ -6,17 +6,19 @@ import numpy as np
 
 from .errors import NumericalError
 
+_MAX_ITER = 200
 
-def newton_bracketed(f, fprime, lo, hi, x0=None, f_tol=0.0, max_iter: int = 200):
+
+def newton_bracketed(f, lo, hi, x0=None, f_tol=0.0):
     """Roots of increasing functions, one per lane, each with a sign change on (lo, hi).
 
     ``lo``, ``hi``, ``x0`` and ``f_tol`` are scalars or arrays of lanes, and
     scalar brackets give a scalar root.  ``f`` maps an array of points, one
-    per lane, to every lane's value; its first call stacks the bracket ends
-    and the starting points, shape (3, lanes).  ``fprime`` gives the slope
-    of each Newton step: the derivative of f, or f*(g'/g) + f' for a
-    positive g, which steps as Newton on f*g.  With ``fprime`` None, ``f``
-    returns the pair (value, slope) from one evaluation.
+    per lane, to the pair (value, slope) for every lane from one evaluation;
+    its first call stacks the bracket ends and the starting points, shape
+    (3, lanes).  The slope is that of each Newton step: the derivative of
+    the value, or value*(g'/g) + value' for a positive g, which steps as
+    Newton on value*g.
 
     Newton steps are taken while they stay inside the lane's current
     bracket; otherwise the step falls back to bisection.  A lane stops when
@@ -24,9 +26,6 @@ def newton_bracketed(f, fprime, lo, hi, x0=None, f_tol=0.0, max_iter: int = 200)
     its step collapses to machine precision.  Stopped lanes are frozen by
     masking, so every call of f sees all lanes.
     """
-    if fprime is not None:
-        value = f
-        f = lambda x: (value(x), fprime(x))
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     scalar = a.ndim == 0
     a, b = np.atleast_1d(a), np.atleast_1d(b)
@@ -42,7 +41,7 @@ def newton_bracketed(f, fprime, lo, hi, x0=None, f_tol=0.0, max_iter: int = 200)
         )
     live = np.ones(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             hit = abs(fx) <= f_tol
             up = fx > 0.0
             np.copyto(b, x, where=up)

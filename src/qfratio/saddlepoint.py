@@ -145,8 +145,8 @@ def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
     # Newton stops on the |K'| test enforced below; its last step leaves
     # |K'| far under the tolerance
     k1_tol = tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1)
-    s_hat = newton_bracketed(k1_and_slope, None, lo + 1e-12 * np.abs(lo),
-                             hi - 1e-12 * np.abs(hi), x0=0.0, f_tol=k1_tol)
+    s_hat = newton_bracketed(k1_and_slope, lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi),
+                             x0=0.0, f_tol=k1_tol)
     K, K1, K2 = cumulant_sums(lam, nu2, s_hat, (0, 1, 2))
     _raise_first(abs(K1) > k1_tol, lambda i: NumericalError(
         f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
@@ -252,25 +252,16 @@ def pdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> Densit
     return _grid(ratio, [r], tol, density=True)[0]
 
 
-def normalized_pdf(
-    ratio: QuadFormRatio,
-    grid,
-    tol: Tolerances = DEFAULT_TOL,
-    support_bounds: tuple | None = None,
-) -> np.ndarray:
+def normalized_pdf(ratio: QuadFormRatio, grid, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Saddlepoint density renormalized to unit mass over the support."""
     from .support import support as _support  # local import avoids a cycle
 
-    if support_bounds is None:
-        info = _support(ratio, tol)
-        lo, hi = info.l, info.r_bar
-    else:
-        lo, hi = support_bounds
+    info = _support(ratio, tol)
 
     def f(r):
         return pdf(ratio, r, tol).value
 
-    mass, err = scipy.integrate.quad(f, lo, hi, epsabs=tol.tol_quad * 10,
+    mass, err = scipy.integrate.quad(f, info.l, info.r_bar, epsabs=tol.tol_quad * 10,
                                      epsrel=1e-10, limit=400)
     if not np.isfinite(mass) or mass <= 0.0 or err > 1e-6 * mass:
         raise NumericalError(

@@ -189,8 +189,17 @@ def _cf_polar(combo: Chi2Combo):
 
 
 def _scale_breakpoints(combo: Chi2Combo):
-    """Damping scales 1/|w| of the CF factors, one per distinct significant weight."""
-    return sorted({1.0 / abs(w) for w, _, _ in combo.significant_terms()})
+    """Damping scales 1/|w| of the CF factors, one per distinct significant weight.
+
+    A gap wider than 100x between consecutive scales gets decade points, so
+    the quadrature samples the integrand across the whole gap: without them
+    one Gauss-Kronrod panel on, say, [1, 1e5] can miss the mass on [1, 100]
+    and still pass its own error estimate.
+    """
+    scales = sorted({1.0 / abs(w) for w, _, _ in combo.significant_terms()})
+    fill = [lo * 10.0**j for lo, hi in zip(scales, scales[1:]) if hi > 100.0 * lo
+            for j in range(1, int(math.log10(hi / lo)))]
+    return sorted(scales + fill)
 
 
 def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:

@@ -232,14 +232,12 @@ def edge_structure(
     """Edge eigen-structure (m, nu0, omega, H_edge) on the requested side."""
     if side not in ("right", "left"):
         raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
+    if not (info.in_CR if side == "right" else info.in_CL):
+        raise UnsupportedInstanceError(f"ratio is not in the {side} tail class")
     if side == "left":
-        if not info.in_CL:
-            raise UnsupportedInstanceError("ratio is not in the left tail class")
-        neg = negate(ratio)
-        es = edge_structure(neg, support(neg, tol), side="right", tol=tol)
-        return replace(es, side="left")
-    if not info.in_CR:
-        raise UnsupportedInstanceError("ratio is not in the right tail class")
-    if np.isfinite(info.r_bar):
-        return _edge_finite(ratio, info.r_bar, tol)
-    return _edge_infinite(ratio, tol)
+        # the left edge of R is the right edge -l of -R
+        ratio, r_edge = negate(ratio), -info.l
+    else:
+        r_edge = info.r_bar
+    es = _edge_finite(ratio, r_edge, tol) if np.isfinite(r_edge) else _edge_infinite(ratio, tol)
+    return replace(es, side=side)

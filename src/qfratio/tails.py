@@ -90,7 +90,7 @@ def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
         return G1 - (n - m) / (2.0 * t), G2 + (n - m) / (2.0 * t**2)
 
     eps = 1e-12
-    return newton_bracketed(g, None, eps, 0.5 - eps, x0=0.25)
+    return newton_bracketed(g, eps, 0.5 - eps, x0=0.25)
 
 
 def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> TailLimitMultiple:
@@ -147,7 +147,7 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
             if hij == 0.0 or nu0[i] == 0.0 or nu0[j] == 0.0:
                 continue
             num += nu0[i] * nu0[j] * eta3[i] * eta3[j] * hij * d0(sorted((i, j)), n - m)
-    re_pdf = _SQRT_2PI * num / W_J
+    re_pdf = float(_SQRT_2PI * num / W_J)
     return TailLimitMultiple(
         t0=t0, u0=u0, eta1=eta1, eta2=eta2, eta3=eta3,
         W_J=W_J, RE_cdf=re_cdf, RE_pdf=re_pdf,

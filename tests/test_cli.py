@@ -140,6 +140,28 @@ def test_oracle_draws_shared_across_grid(heavy_tail_problem, capsys):
         assert (rec["exact"], rec["se"]) == (est.value, est.std_error)
 
 
+def test_oracle_point_outside_support_exit_1(tmp_path, capsys):
+    path = tmp_path / "beta.json"
+    code, _, _ = run_cli(capsys, "build", "--kind", "beta", "--n", "6", "--m", "2",
+                         "--out", str(path))
+    assert code == 0
+    for extra in ((), ("--draws", "2000")):
+        code, out, err = run_cli(capsys, "oracle", "--problem", str(path),
+                                 "--points=0.5,-0.5", *extra)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+
+def test_json_shortest_repr_csv_seventeen_digits(heavy_tail_problem, capsys):
+    code, out, _ = run_cli(capsys, "cdf", "--problem", heavy_tail_problem, "--points", "0.1")
+    assert code == 0
+    assert json.loads(out)["r"] == 0.1 and out.startswith('{"r": 0.1,')
+    code, out, _ = run_cli(capsys, "cdf", "--problem", heavy_tail_problem, "--points", "0.1",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0.10000000000000001,")
+
+
 def test_figure_writes_density_and_tail_csvs(heavy_tail_problem, tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(
@@ -200,7 +222,9 @@ def test_tol_override_round_trip(heavy_tail_problem, capsys):
         "--tol", "tol_quad=1e-8",
     )
     assert code == 0
-    code, _, err = run_cli(
-        capsys, "cdf", "--problem", heavy_tail_problem, "--points", "1", "--tol", "bogus=1"
-    )
-    assert code == 1
+    for name in ("bogus", "tol_orth"):
+        code, _, err = run_cli(
+            capsys, "cdf", "--problem", heavy_tail_problem, "--points", "1", "--tol", f"{name}=1"
+        )
+        assert code == 1
+        assert "unknown tolerance" in json.loads(err)["error"]["message"]

@@ -145,14 +145,14 @@ def test_nonfinite_grid_point_rejected():
         cdf_grid(ratio_n2(0.2, 2.0), [0.0, math.inf])
 
 
-def test_newton_lanes_with_separate_derivative():
+def test_newton_lanes_with_value_slope_pairs():
     # x^3 + x = c per lane; one lane starts at its root and must stay there
     c = np.array([-5.0, 0.0, 2.0, 30.0])
-    root = newton_bracketed(lambda x: x**3 + x - c, lambda x: 3 * x**2 + 1,
+    root = newton_bracketed(lambda x: (x**3 + x - c, 3 * x**2 + 1),
                             np.full(4, -10.0), np.full(4, 10.0), x0=0.0, f_tol=1e-13)
     assert np.allclose(root**3 + root, c, rtol=0, atol=1e-12)
     assert root[1] == 0.0
-    assert newton_bracketed(lambda x: x - 0.25, lambda x: np.ones_like(x), 0.0, 1.0) == 0.25
+    assert newton_bracketed(lambda x: (x - 0.25, np.ones_like(x)), 0.0, 1.0) == 0.25
 
 
 # cdf and pdf values of the parent implementation (per-point Newton run until

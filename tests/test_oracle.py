@@ -10,6 +10,7 @@ import scipy.stats
 from qfratio import (
     InvalidInputError,
     beta_matrices,
+    cdf,
     exact_cdf_n2,
     exact_density_n2,
     imhof_cdf_of_R,
@@ -18,6 +19,7 @@ from qfratio import (
     ratio_n2,
     relative_error_curve,
 )
+from qfratio import oracle
 from qfratio.oracle import mc_draws
 
 from conftest import random_case1, rng_for
@@ -63,10 +65,13 @@ def test_imhof_cauchy_closed_form():
 
 
 def test_imhof_central_beta_closed_form():
+    # near either edge the CF damping scales are 1 and 10^k apart, and the
+    # quadrature must sample the whole gap between them
     rt = beta_matrices(6, 2)
-    for r in (0.2, 0.5, 0.8):
+    edges = [r for k in range(3, 12) for r in (10.0**-k, 1.0 - 10.0**-k)]
+    for r in [0.2, 0.5, 0.8] + edges:
         expected = float(scipy.stats.beta.cdf(r, 1.0, 2.0))
-        assert imhof_cdf_of_R(rt, r) == pytest.approx(expected, abs=1e-8)
+        assert imhof_cdf_of_R(rt, r) == pytest.approx(expected, abs=1e-9)
 
 
 def test_imhof_matches_exact_integration_n2():
@@ -136,3 +141,42 @@ def test_relative_error_curve_tail_sides():
     assert records[0]["s_hat"] < 0 < records[1]["s_hat"]
     for rec in records:
         assert 0.5 < rec["cdf_ratio"] < 1.5
+
+
+def test_relative_error_curve_batches_the_grid(monkeypatch):
+    # one cdf_grid call per curve, and one pdf_grid call only with exact_pdf
+    calls = []
+    for name in ("cdf_grid", "pdf_grid"):
+        def counted(*args, _inner=getattr(oracle, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    rt = ratio_n2(0.0, 0.0)
+    grid = [-4.0, -1.0, 1.0, 4.0]
+    exact_cdf = lambda r: 0.5 + math.atan(r) / math.pi
+    records = relative_error_curve(rt, grid, exact_cdf=exact_cdf)
+    assert calls == ["cdf_grid"]
+    assert all("pdf_ratio" not in rec for rec in records)
+    calls.clear()
+    records = relative_error_curve(rt, grid, exact_cdf=exact_cdf,
+                                   exact_pdf=lambda r: 1.0 / (math.pi * (1.0 + r * r)))
+    assert calls == ["cdf_grid", "pdf_grid"]
+    for r, rec in zip(grid, records):
+        assert rec["r"] == r and rec["exact"] == exact_cdf(r)
+        assert rec["approx"] == cdf(rt, r).value and rec["s_hat"] == cdf(rt, r).s_hat
+
+
+def test_relative_error_curve_nan_where_approximation_rounds_to_one():
+    # F_hat rounds to 1 just inside the right edge: (1 - F)/(1 - F_hat) is undefined
+    rt = beta_matrices(6, 2)
+    r = 1.0 - 1e-9
+    assert cdf(rt, r).value == 1.0
+    (rec,) = relative_error_curve(rt, [r])
+    assert rec["s_hat"] > 0 and math.isnan(rec["cdf_ratio"])
+    assert rec["exact"] == pytest.approx(float(scipy.stats.beta.cdf(r, 1.0, 2.0)), abs=1e-9)
+
+
+def test_relative_error_curve_rejects_point_outside_support():
+    with pytest.raises(InvalidInputError, match="outside the open support"):
+        relative_error_curve(beta_matrices(6, 2), [0.5, -0.5])

@@ -183,6 +183,7 @@ def test_limit_multiple_goldens():
         lim = limit_multiple(rt.n, edge_structure(rt, support(rt), side))
         assert lim.RE_cdf == pytest.approx(re_cdf, rel=1e-10, abs=0.0)
         assert lim.RE_pdf == pytest.approx(re_pdf, rel=1e-10, abs=0.0)
+        assert type(lim.RE_cdf) is float and type(lim.RE_pdf) is float
 
 
 def test_durbin_watson_edge_matches_simple_limit():
