@@ -182,8 +182,10 @@ def pencil_eigh(ratio: QuadFormRatio, rs):
     """Eigen-decompose A - r*B for every r in ``rs``, one stacked eigh per chunk.
 
     Yields ``(start, lambdas, P)`` per chunk of consecutive points: ascending
-    eigenvalues ``(k, n)`` and sign-fixed eigenvector rows ``(k, n, n)``, so
-    that ``P[i] (A - r_i B) P[i]' = diag(lambdas[i])``.
+    eigenvalues ``(k, n)`` and eigenvector rows ``(k, n, n)``, so that
+    ``P[i] (A - r_i B) P[i]' = diag(lambdas[i])``.  The rows keep the signs
+    the eigensolver gives them: the saddlepoint quantities are invariant to
+    them, and ``spectrum_at`` fixes them for its one point.
     """
     rs = np.asarray(rs, dtype=float).reshape(-1)
     bad = ~np.isfinite(rs)
@@ -198,13 +200,13 @@ def pencil_eigh(ratio: QuadFormRatio, rs):
             raise NumericalError(
                 f"symmetric eigensolver failed for r in [{chunk.min()}, {chunk.max()}]: {exc}"
             ) from exc
-        yield start, lam, np.swapaxes(fix_eigenvector_signs(V), -1, -2)
+        yield start, lam, np.swapaxes(V, -1, -2)
 
 
 def spectrum_at(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> SpectrumAtR:
     """Eigen-decompose A - r*B: ascending eigenvalues, sign-fixed eigenvectors."""
-    _, lam, P = next(pencil_eigh(ratio, [r]))
-    P = P[0]
+    _, lam, rows = next(pencil_eigh(ratio, [r]))
+    P = fix_eigenvector_signs(rows[0].T).T
     return SpectrumAtR(
         r=float(r),
         lambdas=_frozen(lam[0]),

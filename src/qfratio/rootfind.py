@@ -25,6 +25,12 @@ def newton_bracketed(f, lo, hi, x0=None, f_tol=0.0):
     |f| <= f_tol, after one last Newton step from the accepted point, or when
     its step collapses to machine precision.  Stopped lanes are frozen by
     masking, so every call of f sees all lanes.
+
+    Returns the pair (x, x_eval): the final points and the points at which
+    f was last evaluated.  They differ only where the last Newton step was
+    taken; that step is not evaluated and, where the slope is rounding
+    noise, can land farther from the root, so a caller that evaluates f at
+    its result anyway keeps whichever of the two has the smaller |f|.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     scalar = a.ndim == 0
@@ -48,13 +54,15 @@ def newton_bracketed(f, lo, hi, x0=None, f_tol=0.0):
             np.copyto(a, x, where=~up)
             x_new = x - fx / slope
             # a step leaving (a, b), as any step with slope <= 0 does, bisects
-            inside = hit | ((a < x_new) & (x_new < b))
+            inside = (a < x_new) & (x_new < b)
             if not inside.all():
                 x_new = np.where(inside, x_new, 0.5 * (a + b))
-            stay = ~hit & (x_new != x)
+            # a lane that meets f_tol stays at its evaluated point, so fx and
+            # slope keep describing x for every stopped lane
+            live &= ~hit & (x_new != x)
             np.copyto(x, x_new, where=live)
-            live &= stay
             if not live.any():
                 break
             fx, slope = f(x)
-    return float(x[0]) if scalar else x
+        x_last = np.where(abs(fx) <= f_tol, x - fx / slope, x)
+    return (float(x_last[0]), float(x[0])) if scalar else (x_last, x)

@@ -20,6 +20,7 @@ import scipy.special
 from .core import DEFAULT_TOL, QuadFormRatio, SpectrumAtR, Tolerances, pencil_eigh
 from .errors import InvalidInputError, NumericalError, UnsupportedInstanceError
 from .rootfind import newton_bracketed
+from .support import support
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -143,11 +144,18 @@ def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
         return K1, K2 - K1 * (edges / (1.0 - s[..., None] * edges)).sum(axis=-1)
 
     # Newton stops on the |K'| test enforced below; its last step leaves
-    # |K'| far under the tolerance
+    # |K'| far under the tolerance, unless the slope there is rounding noise:
+    # one cumulant pass covers both the last point and the accepted one
+    # before it, and the smaller |K'| wins
     k1_tol = tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1)
-    s_hat = newton_bracketed(k1_and_slope, lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi),
-                             x0=0.0, f_tol=k1_tol)
-    K, K1, K2 = cumulant_sums(lam, nu2, s_hat, (0, 1, 2))
+    s_pair = newton_bracketed(k1_and_slope, lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi),
+                              x0=0.0, f_tol=k1_tol)
+    cols = (s_pair, *cumulant_sums(lam, nu2, s_pair, (0, 1, 2)))
+    last = abs(cols[2][0]) <= abs(cols[2][1])
+    if last.all():
+        s_hat, K, K1, K2 = (v[0] for v in cols)
+    else:
+        s_hat, K, K1, K2 = (np.where(last, v[0], v[1]) for v in cols)
     _raise_first(abs(K1) > k1_tol, lambda i: NumericalError(
         f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
     w_hat = np.copysign(np.sqrt(np.maximum(-2.0 * K, 0.0)), s_hat)
@@ -163,18 +171,33 @@ def solve_saddlepoint(
     return SaddlepointSolution(s_hat=s, w_hat=w, u_hat=u, cgf_at_shat=cgf(spectrum, s))
 
 
-# eigenvalues are zero "within floating point" at this relative scale; the
-# structural tol_zero_eig is far too coarse here (interior spectra can have
-# genuine eigenvalue ratios below 1e-9 deep in a tail)
+# prefilter: a spectrum one-signed to within this relative scale flags its
+# lane for the support test in _boundary_side.  The flag alone does not
+# decide the boundary: deep in an infinite tail an interior spectrum can
+# have an eigenvalue ratio below it (ratio_n2(0.2, 2) at |r| > 1.6e6)
 _BOUNDARY_RTOL = 1e-13
 
 
-def _boundary_side(lam: np.ndarray) -> np.ndarray:
-    """Per lane, 0.0/1.0 when r sits at or beyond the support (one-signed spectrum), else nan."""
+def _boundary_side(lam: np.ndarray, r: np.ndarray, support_of) -> np.ndarray:
+    """Per lane, 0.0/1.0 when r sits at or beyond an edge of the support, else nan.
+
+    Lanes whose spectrum is one-signed to within _BOUNDARY_RTOL are decided
+    by the support (l, r_bar) from ``support_of()``, called only for them:
+    such a lane is interior only if l < r < r_bar and its computed spectrum
+    has both signs, since Newton needs a sign change of K'.
+    """
     edge = _BOUNDARY_RTOL * np.abs(lam).max(axis=-1)
     if (edge == 0.0).any():
         raise InvalidInputError("all-zero spectrum: degenerate instance")
-    return np.where(lam[..., -1] <= edge, 1.0, np.where(lam[..., 0] >= -edge, 0.0, np.nan))
+    lam_min, lam_max = lam[..., 0], lam[..., -1]
+    side = np.where(lam_max <= edge, 1.0, np.where(lam_min >= -edge, 0.0, np.nan))
+    flagged = ~np.isnan(side)
+    if not flagged.any():
+        return side
+    info = support_of()
+    interior = (info.l < r) & (r < info.r_bar) & (lam_min < 0.0) & (lam_max > 0.0)
+    at_edge = np.where(r >= info.r_bar, 1.0, np.where(r <= info.l, 0.0, side))
+    return np.where(flagged & ~interior, at_edge, np.nan)
 
 
 def _lr_value(w, u, lam, nu2, tol: Tolerances):
@@ -192,79 +215,122 @@ def _lr_value(w, u, lam, nu2, tol: Tolerances):
     return value, np.where(aw < th, "mean", "regular")
 
 
-def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool) -> list:
-    """CdfApprox (or, with ``density``, DensityApprox) records for every point of rs."""
+def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -> tuple:
+    """Arrays over rs: value, branch, s_hat, w_hat, u_hat; with ``density``, J after branch.
+
+    ``info`` is the support of ``ratio`` when the caller has it; otherwise it
+    is computed at most once, and only if a point is flagged near an edge.
+    """
     rs = np.asarray(rs, dtype=float).reshape(-1)
     B, mu = np.asarray(ratio.B), np.asarray(ratio.mu)
-    out = []
+    value = np.zeros(rs.shape)
+    branch = np.full(rs.shape, "boundary", dtype=object)
+    s, w, u, J = np.full((4,) + rs.shape, math.nan)
+
+    def support_of():
+        nonlocal info
+        if info is None:
+            info = support(ratio, tol)
+        return info
+
     for start, lam, P in pencil_eigh(ratio, rs):
-        side = _boundary_side(lam)
+        at = slice(start, start + lam.shape[0])
+        side = _boundary_side(lam, rs[at], support_of)
         interior = np.isnan(side)
-        # a basic slice gives views, not copies, when every point is interior
-        inner = slice(None) if interior.all() else interior
-        s, w, u, J = np.full((4,) + side.shape, math.nan)
-        value = np.zeros(side.shape) if density else side
-        branch = np.full(side.shape, "boundary", dtype=object)
-        if interior.any():
-            lam, P = lam[inner], P[inner]
-            nu = P @ mu
-            nu2 = nu * nu
-            s_i, K, K2, w[inner], u[inner] = _solve(lam, nu2, tol)
-            s[inner] = s_i
-            if density:
-                # J = tr(H D^-1) + x'Hx with H = P B P', D = diag(d), x = nu/d
-                d = 1.0 - 2.0 * s_i[:, None] * lam
-                Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
-                J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
-                       + ((Ptx @ B) * Ptx).sum(axis=-1))
-                r_i = rs[start : start + side.shape[0]][inner]
-                _raise_first(J_i <= 0.0, lambda i: NumericalError(
-                    f"nonpositive Jacobian weight J={J_i[i]:g} at r={r_i[i]}"))
-                J[inner] = J_i
-                value[inner] = np.exp(np.log(J_i) + K - 0.5 * np.log(2.0 * math.pi * K2))
-                branch[inner] = "regular"
-            else:
-                lr, branch[inner] = _lr_value(w[inner], u[inner], lam, nu2, tol)
-                value[inner] = np.clip(lr, 0.0, 1.0)
-        cols = (value, branch, J, s, w, u) if density else (value, branch, s, w, u)
-        kind = DensityApprox if density else CdfApprox
-        out += [kind(*rec) for rec in zip(*(c.tolist() for c in cols))]
-    return out
+        if not density:
+            value[at] = side
+        if not interior.any():
+            continue
+        # idx addresses this chunk's interior lanes in the output arrays; a
+        # basic slice gives views, not copies, when every lane is interior
+        if interior.all():
+            idx = at
+        else:
+            idx = np.arange(start, start + lam.shape[0])[interior]
+            lam, P = lam[interior], P[interior]
+        nu = P @ mu
+        nu2 = nu * nu
+        s_i, K, K2, w[idx], u[idx] = _solve(lam, nu2, tol)
+        s[idx] = s_i
+        if density:
+            # J = tr(H D^-1) + x'Hx with H = P B P', D = diag(d), x = nu/d
+            d = 1.0 - 2.0 * s_i[:, None] * lam
+            Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
+            J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
+                   + ((Ptx @ B) * Ptx).sum(axis=-1))
+            _raise_first(J_i <= 0.0, lambda i: NumericalError(
+                f"nonpositive Jacobian weight J={J_i[i]:g} at r={rs[idx][i]}"))
+            J[idx] = J_i
+            value[idx] = np.exp(np.log(J_i) + K - 0.5 * np.log(2.0 * math.pi * K2))
+            branch[idx] = "regular"
+        else:
+            lr, branch[idx] = _lr_value(w[idx], u[idx], lam, nu2, tol)
+            value[idx] = np.clip(lr, 0.0, 1.0)
+    return (value, branch, J, s, w, u) if density else (value, branch, s, w, u)
+
+
+def _records(kind, cols) -> list:
+    return [kind(*rec) for rec in zip(*(c.tolist() for c in cols))]
 
 
 def cdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
     """First-order Lugannani-Rice approximations of Pr(R <= r), one CdfApprox per r in rs."""
-    return _grid(ratio, rs, tol, density=False)
+    return _records(CdfApprox, _grid(ratio, rs, tol, density=False))
 
 
 def pdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
     """Saddlepoint densities of R, assembled in log space, one DensityApprox per r in rs."""
-    return _grid(ratio, rs, tol, density=True)
+    return _records(DensityApprox, _grid(ratio, rs, tol, density=True))
 
 
 def cdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> CdfApprox:
     """First-order Lugannani-Rice approximation of Pr(R <= r)."""
-    return _grid(ratio, [r], tol, density=False)[0]
+    return cdf_grid(ratio, [r], tol)[0]
 
 
 def pdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> DensityApprox:
     """Saddlepoint density of R at r, assembled in log space."""
-    return _grid(ratio, [r], tol, density=True)[0]
+    return pdf_grid(ratio, [r], tol)[0]
+
+
+def _delta_centre_scale(ratio: QuadFormRatio):
+    """Delta-method centre c = E[e'Ae]/E[e'Be] of R and its scale sd(e'(A - cB)e)/E[e'Be]."""
+    A, B, mu = np.asarray(ratio.A), np.asarray(ratio.B), np.asarray(ratio.mu)
+    eb = np.trace(B) + mu @ B @ mu
+    c = (np.trace(A) + mu @ A @ mu) / eb
+    M = A - c * B
+    Mmu = M @ mu
+    return float(c), math.sqrt(2.0 * np.sum(M * M) + 4.0 * Mmu @ Mmu) / eb
 
 
 def normalized_pdf(ratio: QuadFormRatio, grid, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Saddlepoint density renormalized to unit mass over the support."""
-    from .support import support as _support  # local import avoids a cycle
+    """Saddlepoint density renormalized to unit mass over the support.
 
-    info = _support(ratio, tol)
+    The mass is the integral of f_hat over (l, r_bar) by tanh-sinh
+    quadrature (``scipy.integrate.tanhsinh``) in theta, with r = c + s*tan(theta)
+    for the delta-method centre c and scale s of R: theta runs over
+    (atan((l - c)/s), atan((r_bar - c)/s)), +/-pi/2 at an infinite edge, and
+    the integrand is f_hat(r) * s / cos(theta)^2.  Each refinement level
+    evaluates all its nodes in one batched pass of the grid path.  The rule
+    stops at relative error 1e-10 or absolute error ``tol.tol_quad * 10``;
+    a rule that does not converge, a mass that is not finite and positive,
+    or an error estimate above 1e-6 of the mass raises NumericalError.
+    """
+    info = support(ratio, tol)
+    c, scale = _delta_centre_scale(ratio)
 
-    def f(r):
-        return pdf(ratio, r, tol).value
+    def integrand(theta):
+        t = np.tan(theta)
+        f = _grid(ratio, c + scale * t, tol, True, info)[0]
+        return f.reshape(theta.shape) * scale * (1.0 + t * t)
 
-    mass, err = scipy.integrate.quad(f, info.l, info.r_bar, epsabs=tol.tol_quad * 10,
-                                     epsrel=1e-10, limit=400)
-    if not np.isfinite(mass) or mass <= 0.0 or err > 1e-6 * mass:
+    res = scipy.integrate.tanhsinh(integrand, math.atan((info.l - c) / scale),
+                                   math.atan((info.r_bar - c) / scale),
+                                   rtol=1e-10, atol=tol.tol_quad * 10)
+    mass, err = float(res.integral), float(res.error)
+    if res.status != 0 or not math.isfinite(mass) or mass <= 0.0 or not err <= 1e-6 * mass:
         raise NumericalError(
-            f"normalization quadrature failed: mass={mass:g}, err={err:g}"
+            f"normalization quadrature failed: status={int(res.status)}, mass={mass:g}, "
+            f"err={err:g}"
         )
-    return np.array([a.value for a in pdf_grid(ratio, grid, tol)]) / mass
+    return _grid(ratio, grid, tol, True, info)[0] / mass

@@ -90,7 +90,7 @@ def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
         return G1 - (n - m) / (2.0 * t), G2 + (n - m) / (2.0 * t**2)
 
     eps = 1e-12
-    return newton_bracketed(g, eps, 0.5 - eps, x0=0.25)
+    return newton_bracketed(g, eps, 0.5 - eps, x0=0.25)[0]
 
 
 def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> TailLimitMultiple:

@@ -8,18 +8,24 @@ import pytest
 from qfratio import (
     NumericalError,
     Tolerances,
+    beta_limit,
     beta_matrices,
     cdf,
     cdf_grid,
     durbin_watson,
+    limit_simple,
+    ls_serial_corr,
     new_ratio,
+    normalized_pdf,
     pdf,
     pdf_grid,
     ratio_n2,
     support,
 )
-from qfratio import core
+from qfratio import core, saddlepoint
 from qfratio.rootfind import newton_bracketed
+
+from conftest import random_case1
 
 
 def case1_n50():
@@ -148,11 +154,28 @@ def test_nonfinite_grid_point_rejected():
 def test_newton_lanes_with_value_slope_pairs():
     # x^3 + x = c per lane; one lane starts at its root and must stay there
     c = np.array([-5.0, 0.0, 2.0, 30.0])
-    root = newton_bracketed(lambda x: (x**3 + x - c, 3 * x**2 + 1),
-                            np.full(4, -10.0), np.full(4, 10.0), x0=0.0, f_tol=1e-13)
+    root, _ = newton_bracketed(lambda x: (x**3 + x - c, 3 * x**2 + 1),
+                               np.full(4, -10.0), np.full(4, 10.0), x0=0.0, f_tol=1e-13)
     assert np.allclose(root**3 + root, c, rtol=0, atol=1e-12)
     assert root[1] == 0.0
-    assert newton_bracketed(lambda x: (x - 0.25, np.ones_like(x)), 0.0, 1.0) == 0.25
+    assert newton_bracketed(lambda x: (x - 0.25, np.ones_like(x)), 0.0, 1.0) == (0.25, 0.25)
+
+
+def test_newton_returns_the_point_before_an_unchecked_last_step():
+    # f = x - c, but lane 0 reports a slope of 0.4 near its root, as a slope
+    # lost to rounding would: its accepted point 0.3 has |f| = 0.05 <= f_tol,
+    # and the unevaluated last step lands at 0.175, where |f| = 0.075
+    c = np.array([0.25, 0.5])
+
+    def f(x):
+        return x - c, np.where((np.abs(x - c) < 0.1) & (c == 0.25), 0.4, 1.0)
+
+    x, x_eval = newton_bracketed(f, np.zeros(2), np.ones(2), x0=np.array([0.3, 0.9]),
+                                 f_tol=np.array([0.06, 1e-12]))
+    assert x[0] == pytest.approx(0.175, abs=1e-15) and x_eval[0] == 0.3
+    assert abs(x_eval[0] - c[0]) < abs(x[0] - c[0])
+    # lane 1 converges with ordinary steps; its last step lands on the root
+    assert x[1] == 0.5 and abs(x_eval[1] - 0.5) <= 1e-12
 
 
 # cdf and pdf values of the parent implementation (per-point Newton run until
@@ -209,3 +232,80 @@ def test_golden_values(name):
     got_f = np.array([a.value for a in pdf_grid(rt, rs)])
     np.testing.assert_allclose(got_F, F, rtol=1e-10, atol=0)
     np.testing.assert_allclose(got_f, f, rtol=1e-10, atol=0)
+
+
+def test_solve_keeps_the_better_of_the_last_two_newton_points():
+    # 6.1e-13 of the support inside its left edge, K' has slope ~3e-20: a
+    # bisection midpoint meets the |K'| tolerance (8.5e-10 against 1.6e-9)
+    # and the unchecked last Newton step from it lands at |K'| = 1.75e-9
+    rng = np.random.default_rng([1, 1])
+    random_case1(8, rng)
+    rt = random_case1(50, rng)
+    info = support(rt)
+    r = info.l + 6.1e-13 * (info.r_bar - info.l)
+    d = pdf(rt, r)
+    assert d.branch == "regular"
+    assert 0.0 < d.value < 1e-250
+
+
+def test_points_within_rounding_of_a_finite_edge():
+    # the support says inside, but the computed spectrum can be one-signed:
+    # such points are boundary points, not an UnsupportedInstanceError
+    rt = random_case1(8, np.random.default_rng([1, 1]))
+    info = support(rt)
+    k = np.arange(1, 41)
+    rs = np.concatenate([info.l + k * np.spacing(info.l), info.r_bar - k * np.spacing(info.r_bar)])
+    F = np.array([a.value for a in cdf_grid(rt, rs)])
+    f = np.array([a.value for a in pdf_grid(rt, rs)])
+    assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+    assert np.all(F[:40] < 1e-30) and np.all(F[40:] > 1.0 - 1e-12)
+
+
+def test_support_computed_once_and_only_for_flagged_points(monkeypatch):
+    calls = []
+    real = saddlepoint.support
+    monkeypatch.setattr(saddlepoint, "support", lambda *a: calls.append(1) or real(*a))
+    rt = beta_matrices(6, 2)
+    cdf_grid(rt, np.linspace(0.1, 0.9, 9))
+    assert calls == []
+    # outside points in three chunks of one grid: one support() call
+    monkeypatch.setattr(core, "_STACK_ELEMENTS", 2 * rt.n**2)
+    F = [a.value for a in cdf_grid(rt, [-1.0, 0.5, -0.5, 2.0, 0.5, 3.0])]
+    assert F[0] == F[2] == 0.0 and F[3] == F[5] == 1.0
+    assert calls == [1]
+    calls.clear()
+    normalized_pdf(rt, [0.5])
+    assert calls == [1]
+
+
+def _mass(rt):
+    """Normalizing mass of the saddlepoint density: f_hat over the normalized density."""
+    info = support(rt)
+    lo = info.l if math.isfinite(info.l) else -1.0
+    hi = info.r_bar if math.isfinite(info.r_bar) else 1.0
+    r = lo + 0.37 * (hi - lo)
+    return pdf(rt, r).value / float(normalized_pdf(rt, [r])[0])
+
+
+def test_normalized_pdf_mass_against_closed_forms():
+    # the central n = 2 ratio is Cauchy and beta_matrices(6, 2) is Beta(1, 2):
+    # f_hat/f is constant, so the mass is 1/RE exactly
+    assert _mass(ratio_n2(0.0, 0.0)) == pytest.approx(1.0 / limit_simple(2, 0.0).RE,
+                                                      rel=1e-10, abs=0.0)
+    assert _mass(beta_matrices(6, 2)) == pytest.approx(1.0 / beta_limit(6, 2, 0.0).RE,
+                                                       rel=1e-10, abs=0.0)
+
+
+# masses by adaptive quad over one-point pdf calls (epsabs 1e-9, epsrel 1e-10)
+QUAD_MASS = {
+    "ratio_n2": (INSTANCES["ratio_n2"], 1.4210850445487797),
+    "case1_n50": (case1_n50, 0.8003712514931762),
+    "dw20": (dw20, 0.9820039033369656),
+    "ls_serial": (lambda: ls_serial_corr(3, 2, mu=np.array([0.4, -1.2, 0.7])), 1.2827570966702875),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_MASS))
+def test_normalized_pdf_mass_against_quad(name):
+    make, mass = QUAD_MASS[name]
+    assert _mass(make()) == pytest.approx(mass, rel=1e-8, abs=0.0)

@@ -13,6 +13,8 @@ from qfratio import (
     beta_matrices,
     cdf,
     cgf,
+    exact_cdf_n2,
+    exact_density_n2,
     new_ratio,
     pdf,
     normalized_pdf,
@@ -107,6 +109,20 @@ def test_cdf_boundary_values_outside_support():
     assert cdf(rt, -0.5).value == 0.0
     assert cdf(rt, -0.5).branch == "boundary"
     assert cdf(rt, 1.5).value == 1.0
+
+
+@pytest.mark.parametrize("r", [-2e6, -1e5, 1e5, 2e6])
+def test_deep_tail_points_are_interior(r):
+    # the support of ratio_n2(0.2, 2) is the whole line, but beyond |r| ~ 1.6e6
+    # the spectrum of A - rB is one-signed to within 1e-13: the support, not
+    # the eigenvalue ratio, decides.  Both tail ratios tend to 0.8222154.
+    rt = ratio_n2(0.2, 2.0)
+    c, d = cdf(rt, r), pdf(rt, r)
+    assert c.branch == d.branch == "regular"
+    F = exact_cdf_n2(0.2, 2.0, r)
+    cdf_ratio = F / c.value if r < 0 else (1.0 - F) / (1.0 - c.value)
+    assert 0.8222 <= cdf_ratio <= 0.835
+    assert exact_density_n2(0.2, 2.0, r) / d.value == pytest.approx(0.8222154, abs=1e-3)
 
 
 def test_cdf_mean_branch_continuity():
