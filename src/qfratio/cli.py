@@ -235,11 +235,6 @@ def _cmd_tail_limit(args):
     sides = ["right", "left"] if args.side == "both" else [args.side]
     out = {}
     for side in sides:
-        in_class = info.in_CR if side == "right" else info.in_CL
-        if not in_class:
-            raise UnsupportedInstanceError(
-                f"instance is not in the {side}-tail class (case {info.case_tag})"
-            )
         edge = edge_structure(ratio, info, side, tol)
         lim = tails.limit_multiple(ratio.n, edge, tol.tol_quad)
         out[side] = {
@@ -282,7 +277,7 @@ def _cmd_oracle(args):
     return 0
 
 
-def _figure_grids(info, tol):
+def _figure_grids(info):
     """Density grid and CDF tail grid adapted to the support."""
     lo = info.l if math.isfinite(info.l) else -10.0
     hi = info.r_bar if math.isfinite(info.r_bar) else 10.0
@@ -309,7 +304,7 @@ def _cmd_figure(args):
         exact_pdf = lambda r: oracle.exact_density_n2(0.2, 2.0, r)
         exact_cdf = lambda r: oracle.exact_cdf_n2(0.2, 2.0, r)
     info = support_of(ratio, tol)
-    dens_grid, tail_grid = _figure_grids(info, tol)
+    dens_grid, tail_grid = _figure_grids(info)
     if args.grid is not None or args.points is not None:
         dens_grid = _parse_grid(args)
 

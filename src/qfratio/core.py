@@ -10,7 +10,8 @@ All objects are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -33,20 +34,12 @@ class Tolerances:
     mean_branch_threshold: float = 1e-5
 
     def __post_init__(self):
-        for name in (
-            "tol_psd",
-            "tol_zero_eig",
-            "tol_root",
-            "tol_quad",
-            "mean_branch_threshold",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise InvalidInputError(f"tolerance {name} must be strictly positive")
+        for f in dataclasses.fields(self):
+            if not getattr(self, f.name) > 0.0:
+                raise InvalidInputError(f"tolerance {f.name} must be strictly positive")
 
     def replace(self, **kwargs) -> "Tolerances":
-        vals = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        vals.update(kwargs)
-        return Tolerances(**vals)
+        return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_TOL = Tolerances()

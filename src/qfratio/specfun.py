@@ -256,6 +256,10 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
 
     scales = _scale_breakpoints(combo)
     T = 200.0 * scales[-1]
+    if x != 0.0:
+        # past ten periods of the phase x*u/2 the Fourier rule is cheaper than
+        # resolving each oscillation adaptively
+        T = min(T, 20.0 * math.pi / abs(half_x))
     main, err1 = scipy.integrate.quad(
         integrand, 0.0, T, points=scales, epsabs=tol / 10.0, epsrel=1e-13, limit=2000
     )

@@ -1,10 +1,11 @@
 """Support of R, tail-class membership and edge eigen-structure.
 
-The support endpoints and their case classification follow the block
-decomposition of A in the eigenbasis of B.  The edge structure collects
-everything the tail-limit formulas need: the multiplicity m of the
-vanishing pencil eigenvalue, the limiting noncentralities nu0, the
-relative vanishing rates omega and the limiting B-block H_edge.
+The support endpoints and their case classification follow one block
+decomposition of A in the eigenbasis of B, read with sign -1 for the left
+edge.  The edge structure collects everything the tail-limit formulas
+need: the multiplicity m of the vanishing pencil eigenvalue, the limiting
+noncentralities nu0, the relative vanishing rates omega and the limiting
+B-block H_edge.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     DEFAULT_TOL,
@@ -21,7 +21,6 @@ from .core import (
     _frozen,
     fix_eigenvector_signs,
     is_degenerate,
-    negate,
 )
 from .errors import InvalidInputError, UnsupportedInstanceError
 
@@ -30,7 +29,6 @@ CASE_2A = "Case2a"
 CASE_2B = "Case2b"
 CASE_2C_FINITE = "Case2c-finite"
 CASE_2C_INFINITE = "Case2c-infinite"
-DEGENERATE = "Degenerate"
 
 _RIGHT_TAIL_CASES = frozenset({CASE_1, CASE_2B, CASE_2C_FINITE, CASE_2C_INFINITE})
 
@@ -68,8 +66,8 @@ class EdgeStructure:
     in closed form.  omega = g / max(g) is ascending with omega[-1] == 1
     and rounding-level rates set to 0.  H_edge = diag(g) at a finite edge
     and diag(omega), unit spectral norm, at infinity (the density limit
-    is invariant to the scale of H_edge).  For side="left" all quantities
-    refer to the right edge of -R.
+    is invariant to the scale of H_edge).  side="left" gives the right edge
+    -l of -R, read on R at l (nu0 up to a rotation within equal omega).
     """
 
     side: str
@@ -88,8 +86,7 @@ def decompose_B(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> BlockDec
     p = int(np.count_nonzero(zero))
     # positive eigenvalues first, null directions last
     order = np.concatenate([np.nonzero(~zero)[0], np.nonzero(zero)[0]])
-    V = fix_eigenvector_signs(V[:, order])
-    O_B = V.T
+    O_B = fix_eigenvector_signs(V[:, order]).T
     C = O_B @ ratio.A @ O_B.T
     k = ratio.n - p
     return BlockDecomp(
@@ -103,50 +100,45 @@ def decompose_B(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> BlockDec
     )
 
 
-def _pencil_extremes(M: np.ndarray, diag_w: np.ndarray):
-    """Extreme eigenvalues of the symmetric-definite pencil (M, diag(diag_w))."""
-    vals = scipy.linalg.eigh(M, np.diag(diag_w), eigvals_only=True)
-    return float(vals[0]), float(vals[-1])
+def _scale_a(ratio: QuadFormRatio) -> float:
+    """A-scale max|eig(A)| of the zero judgments on blocks of A."""
+    return max(np.max(np.abs(np.linalg.eigvalsh(ratio.A))), 1e-300)
 
 
-def _right_edge(ratio: QuadFormRatio, tol: Tolerances):
-    """Right support endpoint and its Lemma-3 case tag for B singular (p >= 1)."""
-    bd = decompose_B(ratio, tol)
-    scale_a = max(np.max(np.abs(np.linalg.eigvalsh(ratio.A))), 1e-300)
+def _right_edge(bd: BlockDecomp, scale_a: float, sign: float, tol: Tolerances):
+    """Right support endpoint and Lemma-3 case tag of sign*R, whose blocks are sign*C."""
     zero_tol = tol.tol_zero_eig * scale_a
-    eig_c22, O_C = np.linalg.eigh(bd.C22)
+    eig_c22, O_C = np.linalg.eigh(sign * bd.C22)
     if np.any(eig_c22 > zero_tol):
-        return np.inf, CASE_2A, bd
+        return np.inf, CASE_2A
     negative = eig_c22 < -zero_tol
     # case 2(c) with C12 reaching a null direction of C22: unbounded above.
     # A numerically-zero C12 block trivially satisfies the inclusion.
     c12_norm = np.linalg.norm(bd.C12)
-    if c12_norm > tol.tol_zero_eig * scale_a and np.any(
+    if c12_norm > zero_tol and np.any(
         np.linalg.norm(bd.C12 @ O_C[:, ~negative], axis=0) > tol.tol_zero_eig * c12_norm
     ):
-        return np.inf, CASE_2C_INFINITE, bd
-    # cases 2(b) (C22 < 0) and 2(c)-finite (C22 <= 0): the edge is the top
-    # eigenvalue of the Schur complement over the negative eigenpairs of C22
+        return np.inf, CASE_2C_INFINITE
+    # cases 1 (p = 0), 2(b) (C22 < 0) and 2(c)-finite (C22 <= 0): the edge is the
+    # top eigenvalue of the pencil (M, diag(Lambda_B)), M the Schur complement
+    # over the negative eigenpairs of C22, where C12 enters squared
     C12_neg = bd.C12 @ O_C[:, negative]
-    M = bd.C11 - (C12_neg / eig_c22[negative]) @ C12_neg.T
-    tag = CASE_2B if np.all(negative) else CASE_2C_FINITE
-    return _pencil_extremes(M, bd.Lambda_B)[1], tag, bd
+    M = sign * bd.C11 - (C12_neg / eig_c22[negative]) @ C12_neg.T
+    d = bd.Lambda_B ** -0.5
+    tag = CASE_1 if bd.p == 0 else CASE_2B if np.all(negative) else CASE_2C_FINITE
+    return float(np.linalg.eigvalsh(d[:, None] * M * d)[-1]), tag
 
 
 def support(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> SupportInfo:
     """Support endpoints (l, r_bar), Lemma-3 case tag and tail-class flags."""
     if is_degenerate(ratio, tol) is not None:
         raise UnsupportedInstanceError("degenerate ratio: A = c*B, support is a point")
-    eig_b = np.linalg.eigvalsh(ratio.B)
-    if eig_b[0] > tol.tol_zero_eig * eig_b[-1]:
-        # full-rank B: endpoints are the extreme eigenvalues of the pencil (A, B)
-        vals = scipy.linalg.eigh(np.asarray(ratio.A), np.asarray(ratio.B), eigvals_only=True)
-        l, r_bar = float(vals[0]), float(vals[-1])
-        return SupportInfo(l=l, r_bar=r_bar, case_tag=CASE_1, in_CR=True, in_CL=True)
-    r_bar, case_right, _ = _right_edge(ratio, tol)
-    neg_r_bar, case_left, _ = _right_edge(negate(ratio), tol)
+    bd = decompose_B(ratio, tol)
+    scale_a = _scale_a(ratio)
+    r_bar, case_right = _right_edge(bd, scale_a, 1.0, tol)
+    neg_l, case_left = _right_edge(bd, scale_a, -1.0, tol)
     return SupportInfo(
-        l=-neg_r_bar,
+        l=-neg_l,
         r_bar=r_bar,
         case_tag=case_right,
         in_CR=case_right in _RIGHT_TAIL_CASES,
@@ -167,8 +159,7 @@ def _edge_from_rates(
     The eigenvectors W of the symmetric rate matrix give the edge basis
     P = basis @ W and its eigenvalues g the vanishing rates, so that
     P'BP is diag(g) up to a common scale.  Rates at most tol_zero_eig times
-    the largest are exact zeros.  H_edge is diag(g) at a finite edge and
-    diag(omega), unit spectral norm, at r = infinity.
+    the largest are exact zeros.
     """
     g, W = np.linalg.eigh(0.5 * (rates + rates.T))
     g = np.clip(g, 0.0, None)
@@ -212,9 +203,8 @@ def _edge_infinite(ratio: QuadFormRatio, tol: Tolerances) -> EdgeStructure:
     # eps^2 * eig(G), G = N'C21 Lambda_B^-1 C12 N, with eigenvectors tending
     # to null(B)-coordinates N @ W.  Their B-block is eps^2 * W'GW.
     bd = decompose_B(ratio, tol)
-    scale_a = max(np.max(np.abs(np.linalg.eigvalsh(ratio.A))), 1e-300)
     eig_c22, O_C = np.linalg.eigh(bd.C22)
-    N = O_C[:, np.abs(eig_c22) <= tol.tol_zero_eig * scale_a]
+    N = O_C[:, np.abs(eig_c22) <= tol.tol_zero_eig * _scale_a(ratio)]
     if N.shape[1] == 0:
         raise UnsupportedInstanceError("r_bar = infinity outside case 2(c)")
     C12N = bd.C12 @ N
@@ -233,11 +223,11 @@ def edge_structure(
     if side not in ("right", "left"):
         raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
     if not (info.in_CR if side == "right" else info.in_CL):
-        raise UnsupportedInstanceError(f"ratio is not in the {side} tail class")
-    if side == "left":
-        # the left edge of R is the right edge -l of -R
-        ratio, r_edge = negate(ratio), -info.l
-    else:
-        r_edge = info.r_bar
-    es = _edge_finite(ratio, r_edge, tol) if np.isfinite(r_edge) else _edge_infinite(ratio, tol)
-    return replace(es, side=side)
+        raise UnsupportedInstanceError(
+            f"ratio is not in the {side} tail class (case {info.case_tag})"
+        )
+    # the left edge l of R is the right edge -l of -R; flipping the sign of A
+    # keeps the vanishing cluster, its rates and nu0, finite l or infinite
+    at = info.r_bar if side == "right" else info.l
+    es = _edge_finite(ratio, at, tol) if np.isfinite(at) else _edge_infinite(ratio, tol)
+    return replace(es, side=side, r_edge=at if side == "right" else -at)

@@ -158,6 +158,11 @@ def test_tolerances_replace():
     tol2 = tol.replace(tol_quad=1e-8)
     assert tol2.tol_quad == 1e-8
     assert tol.tol_quad != 1e-8
+    assert tol2.replace() == tol2
+    with pytest.raises(InvalidInputError, match="tol_root"):
+        tol.replace(tol_root=0.0)
+    with pytest.raises(TypeError):
+        tol.replace(tol_unknown=1e-3)
 
 
 @settings(max_examples=25, deadline=None)

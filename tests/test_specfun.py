@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 import scipy.stats
 from hypothesis import given, settings
@@ -184,10 +185,26 @@ def test_imhof_monotone_in_x(w1, w2, x, dx):
     assert imhof_cdf(combo, x + dx) >= imhof_cdf(combo, x) - 1e-9
 
 
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_imhof_limits():
     combo = Chi2Combo(((1.0, 2, 0.0), (-0.5, 2, 1.0)))
     assert imhof_cdf(combo, 200.0) == pytest.approx(1.0, abs=1e-8)
     assert imhof_cdf(combo, -200.0) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [10.0, 40.0])
+def test_imhof_large_x_against_convolution(x):
+    # 0.01*Y + 2*Z with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5): the phase x*u/2
+    # oscillates many times over the damping scale 100 of the small weight
+    combo = Chi2Combo(((0.01, 3, 2.0), (2.0, 1, 0.5)))
+    def joint(y):
+        # density of Y at y times Pr(Z <= (x - 0.01 y) / 2)
+        return (scipy.stats.ncx2.pdf(y, 3, 2.0)
+                * scipy.stats.ncx2.cdf((x - 0.01 * y) / 2.0, 1, 0.5))
+
+    exact, _ = scipy.integrate.quad(joint, 0.0, x / 0.01, points=[5.0, 20.0, 60.0],
+                                    epsabs=1e-13, epsrel=1e-13, limit=500)
+    assert imhof_cdf(combo, x) == pytest.approx(exact, abs=1e-10)
 
 
 def _numpy_theta_rho(combo, u):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qfratio import (
     UnsupportedInstanceError,
@@ -11,6 +12,7 @@ from qfratio import (
     decompose_B,
     durbin_watson,
     edge_structure,
+    limit_multiple,
     ls_serial_corr,
     new_ratio,
     ratio_n2,
@@ -166,17 +168,61 @@ def test_edge_structure_lag2_n3():
     assert np.allclose(np.sort(np.abs(edge.nu0)), np.sort(np.abs(mu[1:])), atol=1e-6)
 
 
-def test_edge_structure_left_via_reflection(rng):
-    rt = random_case1(4, rng_for(77))
-    info = support(rt)
-    left = edge_structure(rt, info, "left")
-    neg_info = support(new_ratio(-np.asarray(rt.A), rt.B, rt.mu))
-    mirrored = edge_structure(
-        new_ratio(-np.asarray(rt.A), rt.B, rt.mu), neg_info, "right"
-    )
-    assert left.m == mirrored.m
-    assert np.allclose(left.omega, mirrored.omega, atol=1e-10)
-    assert np.allclose(np.abs(left.nu0), np.abs(mirrored.nu0), atol=1e-10)
+def _mirror(rt):
+    return new_ratio(-np.asarray(rt.A), rt.B, rt.mu)
+
+
+def _nu0sq_by_omega(edge):
+    """Sum of nu0^2 over each run of equal omega, invariant to rotations inside it."""
+    starts = np.flatnonzero(np.r_[True, np.diff(edge.omega) > 1e-9])
+    return np.add.reduceat(np.asarray(edge.nu0) ** 2, starts)
+
+
+def _intercept_trend(n):
+    return np.column_stack([np.ones(n), np.arange(float(n))])
+
+
+LEFT_EDGE_CASES = {
+    "case1": lambda: random_case1(4, rng_for(77)),
+    "case2b": lambda: _mirror(random_case2b(5, rng_for(401), p=2)),
+    "durbin_watson": lambda: durbin_watson(20, _intercept_trend(20)),
+    "case2c_infinite": lambda: _mirror(random_case2c_infinite(6, rng_for(900))),
+    "ratio_n2": lambda: ratio_n2(0.2, 2.0),
+    # two omega = 0 directions along the regressors: nu0 may rotate between them
+    "regressor_block": lambda: ls_serial_corr(8, 3, X=_intercept_trend(8),
+                                              mu=np.linspace(-1.0, 1.0, 8)),
+}
+
+
+@pytest.mark.parametrize("name", list(LEFT_EDGE_CASES))
+def test_edge_structure_left_via_reflection(name):
+    # the left edge of R, read at l, is the right edge of -R
+    rt = LEFT_EDGE_CASES[name]()
+    left = edge_structure(rt, support(rt), "left")
+    neg = _mirror(rt)
+    mirrored = edge_structure(neg, support(neg), "right")
+    close = dict(rel=1e-12, abs=1e-12)
+    assert left.side == "left" and left.m == mirrored.m
+    assert left.r_edge == pytest.approx(mirrored.r_edge, **close)
+    assert left.omega == pytest.approx(mirrored.omega, **close)
+    assert np.linalg.eigvalsh(left.H_edge) == pytest.approx(
+        np.linalg.eigvalsh(mirrored.H_edge), **close)
+    assert _nu0sq_by_omega(left) == pytest.approx(_nu0sq_by_omega(mirrored), **close)
+    lim_left, lim_mirrored = limit_multiple(rt.n, left), limit_multiple(rt.n, mirrored)
+    assert lim_left.RE_cdf == pytest.approx(lim_mirrored.RE_cdf, **close)
+    assert lim_left.RE_pdf == pytest.approx(lim_mirrored.RE_pdf, **close)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_support_case1_matches_generalized_eigh(n):
+    # p = 0: the endpoints are the extreme eigenvalues of the pencil (A, B)
+    for seed in range(4):
+        rt = random_case1(n, rng_for(500 + 10 * n + seed))
+        info = support(rt)
+        vals = scipy.linalg.eigh(rt.A, rt.B, eigvals_only=True)
+        assert info.case_tag == "Case1" and info.in_CR and info.in_CL
+        assert info.l == pytest.approx(vals[0], rel=1e-12, abs=1e-12)
+        assert info.r_bar == pytest.approx(vals[-1], rel=1e-12, abs=1e-12)
 
 
 def test_nu0_block_invariance_under_permutation():
