@@ -2,9 +2,16 @@
 """Print a table of limiting tail relative-error constants.
 
 Covers the closed-form single-eigenvalue limits over a grid of (n, nu0),
-the noncentral beta family, and the general multiple-eigenvalue limits for
-a few built statistics, so the three routes can be compared side by side.
+each beside the numerical limit_multiple value for the same edge, the
+noncentral beta family, and the general multiple-eigenvalue limits for a
+few built statistics, so the closed form and the numerical route can be
+compared side by side.
+
+    PYTHONPATH=src python scripts/tail_limit_table.py
 """
+
+import math
+import sys
 
 import numpy as np
 
@@ -18,15 +25,22 @@ from qfratio import (
     ratio_n2,
     support,
 )
+from qfratio.support import EdgeStructure
 
 
 def main():
     print("single-eigenvalue limits")
-    print(f"{'n':>3} {'nu0':>5} {'t0':>10} {'u0':>10} {'RE':>10}")
-    for n in (2, 3, 5, 8):
-        for nu0 in (0.0, 1.0, 2.0):
-            lim = limit_simple(n, nu0)
-            print(f"{n:>3} {nu0:>5.1f} {lim.t0:>10.6f} {lim.u0:>10.6f} {lim.RE:>10.6f}")
+    print(f"{'n':>3} {'nu0':>5} {'t0':>10} {'u0':>10} {'RE':>10} {'multiple':>10}")
+    rows = [(n, nu0) for n in (2, 3, 5, 8) for nu0 in (0.0, 1.0, 2.0)]
+    worst_gap = 0.0
+    for n, nu0 in rows + [(40, 12.0), (100, 12.0)]:
+        lim = limit_simple(n, nu0)
+        edge = EdgeStructure(side="right", r_edge=math.inf, m=1, nu0=np.array([nu0]),
+                             omega=np.ones(1), H_edge=np.eye(1))
+        multi = limit_multiple(n, edge).RE_cdf
+        worst_gap = max(worst_gap, abs(lim.RE / multi - 1.0))
+        print(f"{n:>3} {nu0:>5.1f} {lim.t0:>10.6f} {lim.u0:>10.6f} {lim.RE:>10.6f} {multi:>10.6f}")
+    print(f"largest relative gap between the two columns: {worst_gap:.1e}")
 
     print("\nnoncentral beta limits")
     print(f"{'n':>3} {'m':>3} {'theta':>6} {'RE':>10}")
@@ -50,7 +64,9 @@ def main():
             lim = limit_multiple(rt.n, edge)
             print(f"{name:<28} {side:>6} {edge.m:>3} "
                   f"{lim.RE_cdf:>10.6f} {lim.RE_pdf:>10.6f}")
+    # the two routes to one constant must agree; a gap means one of them is wrong
+    return 0 if worst_gap <= 1e-9 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -75,12 +75,10 @@ def _load_problem(path: str, tol: Tolerances) -> QuadFormRatio:
         A = np.asarray(raw["A"], dtype=float)
         B = np.asarray(raw["B"], dtype=float)
         mu = np.asarray(raw.get("mu", np.zeros(len(A))), dtype=float)
+        sigma = np.asarray(raw["sigma"], dtype=float) if "sigma" in raw else None
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"problem file entries are not numeric: {exc}") from exc
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B)) and np.all(np.isfinite(mu))):
-        raise InvalidInputError("problem file contains non-finite entries")
-    if "sigma" in raw:
-        sigma = np.asarray(raw["sigma"], dtype=float)
+    if sigma is not None:
         return whiten(A, B, mu, sigma, tol=tol)
     return new_ratio(A, B, mu, tol=tol)
 

@@ -155,14 +155,17 @@ def whiten(A, B, mu, Sigma, tol: Tolerances = DEFAULT_TOL) -> QuadFormRatio:
     square root of Sigma; the distribution of R is unchanged.
     """
     Sigma = symmetrize(_as_square(Sigma, "Sigma"))
+    A = _as_square(A, "A")
+    B = _as_square(B, "B")
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    for name, M, shape in (("B", B, A.shape), ("Sigma", Sigma, A.shape), ("mu", mu, A.shape[:1])):
+        if M.shape != shape:
+            raise InvalidInputError(f"{name} must have shape {shape}, got {M.shape}")
     w, V = np.linalg.eigh(Sigma)
     if w[0] <= tol.tol_psd * max(np.max(np.abs(w)), 1.0):
         raise InvalidInputError("Sigma must be positive definite")
     S = (V * np.sqrt(w)) @ V.T
     S_inv = (V / np.sqrt(w)) @ V.T
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    mu = np.asarray(mu, dtype=float).reshape(-1)
     return new_ratio(S @ A @ S, S @ B @ S, S_inv @ mu, tol=tol)
 
 

@@ -1,10 +1,10 @@
 """Special functions and characteristic-function machinery.
 
-Hosts the confluent hypergeometric 1F1 (Kummer series with a large-argument
-asymptotic branch, plus a log-space variant), Stirling substitutes for the
-beta and gamma functions, and exact distributional kernels for signed
-combinations of independent noncentral chi-squares: the density at zero and
-the inversion-integral CDF.
+Hosts the confluent hypergeometric 1F1 (one Kummer sum with a log-space
+scale, for every argument), Stirling substitutes for the beta and gamma
+functions, and exact distributional kernels for signed combinations of
+independent noncentral chi-squares: the density at zero and the
+inversion-integral CDF.
 """
 
 from __future__ import annotations
@@ -18,56 +18,37 @@ import scipy.special
 
 from .errors import InvalidInputError, NumericalError
 
-HYP1F1_Z_SWITCH = 60.0
 _LN_MAX = 700.0  # ~log of the largest double
 _NEGLIGIBLE_WEIGHT = 1e-12  # relative to the largest |weight| of a combination
+_KUMMER_MAX_TERMS = 1e6  # the sum takes about a + z terms at most, ~0.3 us each
 
 
 def ln_hyp1f1(a: float, b: float, z: float) -> float:
-    """log of 1F1(a; b; z) for z >= 0, a > 0, b > 0.
+    """log of 1F1(a; b; z) for finite a > 0, b > 0 and z >= 0: one Kummer sum.
 
-    Kummer series up to z = 60 (all terms positive, no cancellation);
-    beyond that the large-argument expansion
-    1F1 ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k (b-a)_k (1-a)_k / (k! z^k).
+    Each term is the last times (a + k) z / ((b + k)(k + 1)), all positive.
+    The sum is held as exp(ln_scale) * total, with total folded into ln_scale
+    past 1e280, so no term overflows at any z.  It stops once a term is below
+    1e-17 of the total and no later term can grow: past the peak when a >= b
+    (the term ratio then decreases in k), and once k + 1 >= z when a < b.
     """
-    if b <= 0 and float(b).is_integer():
-        raise InvalidInputError("1F1 undefined: b is a non-positive integer")
-    if z < 0:
-        raise InvalidInputError("ln_hyp1f1 implemented for z >= 0 only")
-    if z == 0.0:
-        return 0.0
-    if z <= HYP1F1_Z_SWITCH:
-        total = 1.0
-        term = 1.0
-        k = 0
-        while True:
-            term *= (a + k) * z / ((b + k) * (k + 1))
-            total += term
-            k += 1
-            if term <= 1e-16 * total or k > 10000:
-                break
-        return math.log(total)
-    # asymptotic branch; the series terminates when a is a positive integer
-    total = 1.0
-    term = 1.0
-    prev = math.inf
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 <= z < math.inf):
+        raise InvalidInputError(f"ln_hyp1f1 needs finite a, b > 0 and z >= 0, got {a}, {b}, {z}")
+    if a + z > _KUMMER_MAX_TERMS:
+        raise NumericalError(f"1F1({a}; {b}; {z}) needs about a + z > {_KUMMER_MAX_TERMS:g} terms")
+    term = total = 1.0  # the k = 0 term
+    ln_scale = 0.0
     k = 0
-    while k < 200:
-        term *= (b - a + k) * (1.0 - a + k) / ((k + 1) * z)
-        if abs(term) >= prev:  # divergent tail of the asymptotic series
-            break
+    while True:
+        term *= (a + k) * z / ((b + k) * (k + 1))
         total += term
-        prev = abs(term)
         k += 1
-        if abs(term) <= 1e-16 * abs(total):
-            break
-    return (
-        scipy.special.gammaln(b)
-        - scipy.special.gammaln(a)
-        + z
-        + (a - b) * math.log(z)
-        + math.log(total)
-    )
+        if total > 1e280:
+            ln_scale += math.log(total)
+            term /= total
+            total = 1.0
+        if term < 1e-17 * total and (a + k) * z < (b + k) * (k + 1) and (a >= b or k + 1 >= z):
+            return ln_scale + math.log(total)
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:
@@ -101,10 +82,13 @@ def stirling_beta_hat(a: float, b: float) -> float:
 
 
 def stirling_gamma_hat(x: float) -> float:
-    """Gamma_hat(x) = sqrt(2*pi) x^(x-1/2) e^(-x)."""
-    if x <= 0:
+    """Gamma_hat(x) = sqrt(2*pi) x^(x-1/2) e^(-x); raises on overflow past double range."""
+    if not x > 0:
         raise InvalidInputError("stirling_gamma_hat needs x > 0")
-    return math.sqrt(2.0 * math.pi) * x ** (x - 0.5) * math.exp(-x)
+    ln_val = 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(x) - x
+    if ln_val > _LN_MAX:
+        raise NumericalError(f"stirling_gamma_hat({x}) overflows double precision")
+    return math.exp(ln_val)
 
 
 @dataclass(frozen=True)

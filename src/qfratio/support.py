@@ -53,6 +53,7 @@ class SupportInfo:
     case_tag: str
     in_CR: bool
     in_CL: bool
+    case_tag_left: str  # tag of the left edge, read as the right edge of -R
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,7 @@ def support(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> SupportInfo:
         case_tag=case_right,
         in_CR=case_right in _RIGHT_TAIL_CASES,
         in_CL=case_left in _RIGHT_TAIL_CASES,
+        case_tag_left=case_left,
     )
 
 
@@ -223,9 +225,8 @@ def edge_structure(
     if side not in ("right", "left"):
         raise InvalidInputError(f"side must be 'right' or 'left', got {side!r}")
     if not (info.in_CR if side == "right" else info.in_CL):
-        raise UnsupportedInstanceError(
-            f"ratio is not in the {side} tail class (case {info.case_tag})"
-        )
+        tag = info.case_tag if side == "right" else info.case_tag_left
+        raise UnsupportedInstanceError(f"ratio is not in the {side} tail class (case {tag})")
     # the left edge l of R is the right edge -l of -R; flipping the sign of A
     # keeps the vanishing cluster, its rates and nu0, finite l or infinite
     at = info.r_bar if side == "right" else info.l

@@ -1,9 +1,9 @@
 """Limiting relative-error constants at the edges of support.
 
-Three routes to the same kind of constant: a closed form for a simple
-vanishing eigenvalue, an implicit form (root of a scalar equation plus a
-density-at-zero operator) for multiple vanishing eigenvalues, and an
-explicit form for the noncentral beta family.
+Two routes to the same kind of constant: an explicit form for the
+noncentral beta family, whose m = 1 case is the simple vanishing eigenvalue,
+and an implicit form (root of a scalar equation plus a density-at-zero
+operator) for any edge structure, which checks the explicit one.
 """
 
 from __future__ import annotations
@@ -52,29 +52,12 @@ class BetaLimit:
 
 
 def limit_simple(n: int, nu0: float) -> TailLimitSimple:
-    """Closed-form limiting relative error for a simple vanishing eigenvalue."""
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
-    if not np.isfinite(nu0):
-        raise InvalidInputError("nu0 must be finite")
-    v2 = float(nu0) ** 2
-    t0 = (2.0 * n - 1.0 + v2 - math.sqrt((v2 + 2.0 * n - 1.0) ** 2
-                                         - (2.0 * n - 1.0) ** 2 + 1.0)) / (4.0 * n)
-    one_m = 1.0 - 2.0 * t0
-    u0 = math.sqrt(
-        (n - 1.0) / 2.0 + 2.0 * t0**2 / one_m**2 + 4.0 * v2 * t0**2 / one_m**3
-    )
-    eta2 = v2 / (2.0 * one_m)
-    ln_re = (
-        0.5 * math.log(2.0 * math.pi * one_m)
-        + 0.5 * (n - 1.0) * math.log(2.0 * t0)
-        + math.log(u0)
-        - eta2
-        - ln_beta(0.5, (n + 1.0) / 2.0)
-        - math.log(n / 2.0)
-        + ln_hyp1f1(n / 2.0, 0.5, v2 / 2.0)
-    )
-    return TailLimitSimple(t0=t0, u0=u0, eta2=eta2, RE=math.exp(ln_re))
+    """Closed-form limiting relative error for a simple vanishing eigenvalue.
+
+    This is the noncentral beta limit at m = 1 with theta = nu0^2.
+    """
+    lim = beta_limit(n, 1, float(nu0) ** 2)
+    return TailLimitSimple(t0=lim.t0, u0=lim.u0, eta2=lim.eta2, RE=lim.RE)
 
 
 def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
@@ -158,9 +141,10 @@ def beta_limit(n: int, m: int, theta: float) -> BetaLimit:
     """Explicit limiting relative error for the noncentral Beta(m/2, (n-m)/2)."""
     if not (1 <= m <= n - 1):
         raise InvalidInputError("need min(m, n - m) >= 1")
-    if theta < 0:
-        raise InvalidInputError("theta must be nonnegative")
-    t0 = 0.5 + ((theta - m) - math.sqrt((theta - m) ** 2 + 4.0 * theta * n)) / (4.0 * n)
+    if not 0.0 <= theta < math.inf:
+        raise InvalidInputError(f"theta must be finite and nonnegative, got {theta}")
+    # the smaller root of the rate equation, in a form free of cancellation
+    t0 = (n - m) / (2.0 * n - m + theta + math.sqrt((theta - m) ** 2 + 4.0 * theta * n))
     one_m = 1.0 - 2.0 * t0
     u0 = math.sqrt(
         (n - m) / 2.0 + 2.0 * t0**2 * (m / one_m**2 + 2.0 * theta / one_m**3)

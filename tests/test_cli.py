@@ -216,6 +216,24 @@ def test_sigma_whitening_accepted(tmp_path, capsys):
     assert json.loads(out)["case_tag"] == "Case1"
 
 
+@pytest.mark.parametrize("sigma", [
+    [[1.0, "x"], [0.0, 1.0]],  # non-numeric entry
+    [[1.0, 0.0], [0.0]],  # ragged
+    np.eye(3).tolist(),  # 3x3 for n = 2
+])
+def test_malformed_sigma_exit_1(tmp_path, capsys, sigma):
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps({
+        "A": [[1.0, 0.0], [0.0, 0.0]],
+        "B": [[1.0, 0.0], [0.0, 1.0]],
+        "mu": [1.0, 0.0],
+        "sigma": sigma,
+    }))
+    code, out, err = run_cli(capsys, "analyze", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+
 def test_tol_override_round_trip(heavy_tail_problem, capsys):
     code, out, _ = run_cli(
         capsys, "cdf", "--problem", heavy_tail_problem, "--points", "1",

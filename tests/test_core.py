@@ -72,6 +72,13 @@ def test_whiten_rejects_indefinite_sigma():
         whiten(np.eye(2), np.eye(2), [0.0, 0.0], np.diag([1.0, -1.0]))
 
 
+def test_whiten_rejects_mismatched_shapes():
+    with pytest.raises(InvalidInputError, match="Sigma must have shape"):
+        whiten(np.eye(2), np.eye(2), [0.0, 0.0], np.eye(3))
+    with pytest.raises(InvalidInputError, match="mu must have shape"):
+        whiten(np.eye(2), np.eye(2), [0.0, 0.0, 0.0], np.eye(2))
+
+
 def test_whiten_matches_direct_sampler():
     # R under N(mu, Sigma) has the same law as the whitened instance under N(., I)
     rng = rng_for(7)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qfratio import (
     Chi2Combo,
     InvalidInputError,
+    NumericalError,
     density_at_zero,
     hyp1f1,
     imhof_cdf,
@@ -57,7 +58,7 @@ def test_hyp1f1_matches_scipy_moderate():
 
 
 def test_hyp1f1_branch_crossover_consistent():
-    # series and asymptotic branches agree around the switch point
+    # the Kummer sum agrees with a plain 600-term partial sum over z = 50..70
     for z in np.linspace(50.0, 70.0, 9):
         series = math.log(_series_1f1(1.5, 0.5, float(z), terms=600))
         assert ln_hyp1f1(1.5, 0.5, float(z)) == pytest.approx(series, rel=1e-8)
@@ -73,6 +74,38 @@ def test_hyp1f1_rejects_bad_b():
         hyp1f1(1.0, -2.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, z", [
+    (0.0, 0.5, 1.0), (-1.5, 0.5, 1.0), (1.0, 0.0, 1.0), (1.0, -0.5, 1.0), (1.0, 0.5, -1.0),
+    (math.nan, 0.5, 1.0), (1.0, math.inf, 1.0), (1.0, 0.5, math.inf), (1.0, 0.5, math.nan),
+])
+def test_ln_hyp1f1_rejects_outside_its_domain(a, b, z):
+    with pytest.raises(InvalidInputError):
+        ln_hyp1f1(a, b, z)
+
+
+def test_ln_hyp1f1_raises_past_its_term_budget():
+    with pytest.raises(NumericalError, match=r"a \+ z > 1e\+06 terms"):
+        ln_hyp1f1(1.0, 0.5, 2e6)
+
+
+# (a, b, z) from z = 2 to 5000 with a = n/2 up to 500, where the large-argument
+# expansion of 1F1 diverges after one or two terms, and one a < b case
+_HYP1F1_POINTS = [
+    (1.0, 0.5, 2.0), (1.5, 0.5, 50.0), (1.5, 0.5, 70.0), (20.0, 0.5, 60.5), (50.0, 0.5, 61.0),
+    (2.5, 0.5, 40.0), (3.0, 1.5, 10.0), (1.0, 1.0, 3.0), (30.0, 1.0, 100.0), (9.0, 4.5, 300.0),
+    (100.0, 2.0, 500.0), (250.0, 0.5, 1000.0), (200.0, 1.5, 2000.0), (0.5, 100.0, 150.0),
+    (1.0, 0.5, 5000.0), (500.0, 0.5, 5000.0), (20.0, 1.5, 75.0),
+]
+
+
+def test_ln_hyp1f1_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for a, b, z in _HYP1F1_POINTS:
+        expected = float(mp.log(mp.hyp1f1(a, b, z)))
+        assert ln_hyp1f1(a, b, z) == pytest.approx(expected, rel=1e-13, abs=0.0), (a, b, z)
+
+
 def test_beta_closed_forms():
     assert math.exp(ln_beta(0.5, 0.5)) == pytest.approx(math.pi, rel=1e-14)
     assert stirling_beta_hat(0.5, 0.5) == pytest.approx(
@@ -84,6 +117,18 @@ def test_stirling_gamma_converges():
     assert stirling_gamma_hat(10.0) / scipy.special.gamma(10.0) == pytest.approx(
         1.0, abs=1e-2
     )
+
+
+def test_stirling_gamma_overflow_is_typed():
+    # Gamma_hat(150) = 3.8e260 is in range; Gamma_hat(200) = 3.9e372 is not
+    assert stirling_gamma_hat(150.0) / scipy.special.gamma(150.0) == pytest.approx(
+        1.0, abs=1e-3
+    )
+    with pytest.raises(NumericalError):
+        stirling_gamma_hat(200.0)
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidInputError):
+            stirling_gamma_hat(x)
 
 
 def test_chi2combo_validation():

@@ -86,6 +86,16 @@ def test_support_rejects_degenerate():
         support(new_ratio(3.0 * np.eye(3), np.eye(3), np.zeros(3)))
 
 
+def test_tail_class_error_names_the_tag_of_its_side():
+    # the left edge of diag(-1, 0) / diag(0, 1) is case 2(a), its right edge 2(b)
+    rt = new_ratio(np.diag([-1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros(2))
+    info = support(rt)
+    assert (info.case_tag, info.case_tag_left, info.in_CR, info.in_CL) == (
+        "Case2b", "Case2a", True, False)
+    with pytest.raises(UnsupportedInstanceError, match=r"left tail class \(case Case2a\)"):
+        edge_structure(rt, info, "left")
+
+
 def test_top_eigenvalue_vanishes_at_right_edge(rng):
     # the largest pencil eigenvalue hits zero exactly at r_bar
     for seed in range(8):

@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 from qfratio import (
+    InvalidInputError,
     beta_limit,
     beta_matrices,
     central_ratio,
@@ -111,7 +112,55 @@ def test_beta_limit_central_reduction():
 
 
 def test_beta_limit_matches_simple_at_m1():
-    assert beta_limit(2, 1, 4.0).RE == pytest.approx(limit_simple(2, 2.0).RE, abs=5e-4)
+    for n in range(2, 61):
+        for nu0 in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0):
+            assert beta_limit(n, 1, nu0**2).RE == pytest.approx(
+                limit_simple(n, nu0).RE, rel=1e-13, abs=0.0
+            )
+
+
+@pytest.mark.parametrize("n, nu0", [(100, 11.5), (40, 12.0), (20, 11.5), (60, 15.0), (100, 20.0)])
+def test_limit_simple_matches_limit_multiple_at_large_noncentrality(n, nu0):
+    # 1F1(n/2; 1/2; nu0^2/2) with z > 60 and a = n/2 large, where the
+    # large-argument expansion of 1F1 diverges after one or two terms
+    simple = limit_simple(n, nu0)
+    multi = limit_multiple(n, _edge(1, [nu0], [1.0]))
+    assert simple.t0 == pytest.approx(multi.t0, rel=1e-9)
+    assert simple.RE == pytest.approx(multi.RE_cdf, rel=1e-9)
+    assert simple.RE == pytest.approx(multi.RE_pdf, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, m, theta", [(40, 3, 150.0), (30, 2, 200.0), (12, 4, 130.0)])
+def test_beta_limit_matches_limit_multiple_at_large_theta(n, m, theta):
+    mu = np.zeros(m)
+    mu[0] = math.sqrt(theta)
+    rt = beta_matrices(n, m, mu)
+    multi = limit_multiple(n, edge_structure(rt, support(rt), "right"))
+    assert beta_limit(n, m, theta).RE == pytest.approx(multi.RE_cdf, rel=1e-9)
+
+
+def test_beta_limit_t0_is_free_of_cancellation():
+    # t0 -> (n - m) / (2 theta) at large theta, where the textbook root
+    # 0.5 + (x - sqrt(x^2 + 4 theta n)) / 4n, x = theta - m, cancels
+    # (1e-6 relative off at theta = 1e6); that root at 40 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for n, m, theta in ((4, 2, 1e4), (5, 1, 1e5), (10, 4, 1e6), (40, 3, 150.0)):
+        x = mp.mpf(theta) - m
+        expected = 0.5 + (x - mp.sqrt(x**2 + 4 * mp.mpf(theta) * n)) / (4 * n)
+        assert beta_limit(n, m, theta).t0 == pytest.approx(float(expected), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("theta", [math.inf, math.nan, -1.0])
+def test_beta_limit_rejects_non_finite_or_negative_theta(theta):
+    with pytest.raises(InvalidInputError):
+        beta_limit(6, 2, theta)
+
+
+@pytest.mark.parametrize("nu0", [math.inf, -math.inf, math.nan])
+def test_limit_simple_rejects_non_finite_nu0(nu0):
+    with pytest.raises(InvalidInputError):
+        limit_simple(6, nu0)
 
 
 def test_beta_limit_large_theta_asymptote():
