@@ -125,16 +125,9 @@ def _raise_first(bad: np.ndarray, make) -> None:
         raise make(int(np.argmax(bad)))
 
 
-def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
-    """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'', w_hat, u_hat per lane."""
-    if not ((lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)).all():
-        _strip_bounds(lam)  # an all-zero spectrum is invalid input
-        # one-signed spectrum: K' never changes sign, r is outside the open support
-        raise UnsupportedInstanceError(
-            "no saddlepoint: the spectrum is one-signed (r outside the open support)"
-        )
+def _newton_pass(lam, nu2, lo, hi, x0, f_tol):
+    """One bracketed Newton solve of K' = 0 per lane: s, K, K', K'' at its better last point."""
     edges = 2.0 * lam[:, [0, -1]]
-    lo, hi = 1.0 / edges[:, 0], 1.0 / edges[:, 1]
 
     def k1_and_slope(s):
         # Newton steps on K' * d_min * d_max (d = 1 - 2*s*lambda at the two
@@ -143,19 +136,45 @@ def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
         K1, K2 = cumulant_sums(lam, nu2, s, (1, 2))
         return K1, K2 - K1 * (edges / (1.0 - s[..., None] * edges)).sum(axis=-1)
 
-    # Newton stops on the |K'| test enforced below; its last step leaves
-    # |K'| far under the tolerance, unless the slope there is rounding noise:
-    # one cumulant pass covers both the last point and the accepted one
-    # before it, and the smaller |K'| wins
-    k1_tol = tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1)
-    s_pair = newton_bracketed(k1_and_slope, lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi),
-                              x0=0.0, f_tol=k1_tol)
+    # Newton stops on the |K'| test; its last step leaves |K'| far under the
+    # tolerance, unless the slope there is rounding noise: one cumulant pass
+    # covers both the last point and the accepted one before it, and the
+    # smaller |K'| wins
+    s_pair = newton_bracketed(k1_and_slope, lo, hi, x0=x0, f_tol=f_tol)
     cols = (s_pair, *cumulant_sums(lam, nu2, s_pair, (0, 1, 2)))
     last = abs(cols[2][0]) <= abs(cols[2][1])
     if last.all():
-        s_hat, K, K1, K2 = (v[0] for v in cols)
-    else:
-        s_hat, K, K1, K2 = (np.where(last, v[0], v[1]) for v in cols)
+        return [v[0] for v in cols]
+    return [np.where(last, v[0], v[1]) for v in cols]
+
+
+def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
+    """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'', w_hat, u_hat per lane.
+
+    K' is accepted at tol_root times the sum of its own terms' magnitudes,
+    sum |lambda/d| (1 + nu^2/d) with d = 1 - 2*s_hat*lambda, the rounding
+    scale of K' at the root.  The first pass stops on the same test with
+    d = 1, which needs no root; deep in an infinite tail, where one lambda
+    is about -r, that bound grows like |r| and passes points far from the
+    root, so lanes that miss the scaled test take a second pass from there.
+    """
+    if not ((lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)).all():
+        _strip_bounds(lam)  # an all-zero spectrum is invalid input
+        # one-signed spectrum: K' never changes sign, r is outside the open support
+        raise UnsupportedInstanceError(
+            "no saddlepoint: the spectrum is one-signed (r outside the open support)"
+        )
+    lo, hi = 0.5 / lam[:, 0], 0.5 / lam[:, -1]
+    lo, hi = lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi)
+    s_hat, K, K1, K2 = _newton_pass(lam, nu2, lo, hi, 0.0,
+                                    tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1))
+    d = 1.0 - 2.0 * s_hat[:, None] * lam
+    k1_tol = tol.tol_root * (np.abs(lam / d) * (1.0 + nu2 / d)).sum(axis=-1)
+    redo = abs(K1) > k1_tol
+    if redo.any():
+        again = _newton_pass(lam[redo], nu2[redo], lo[redo], hi[redo], s_hat[redo], k1_tol[redo])
+        for col, v in zip((s_hat, K, K1, K2), again):
+            col[redo] = v
     _raise_first(abs(K1) > k1_tol, lambda i: NumericalError(
         f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
     w_hat = np.copysign(np.sqrt(np.maximum(-2.0 * K, 0.0)), s_hat)
@@ -222,7 +241,7 @@ def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -
     is computed at most once, and only if a point is flagged near an edge.
     """
     rs = np.asarray(rs, dtype=float).reshape(-1)
-    B, mu = np.asarray(ratio.B), np.asarray(ratio.mu)
+    B = np.asarray(ratio.B)
     value = np.zeros(rs.shape)
     branch = np.full(rs.shape, "boundary", dtype=object)
     s, w, u, J = np.full((4,) + rs.shape, math.nan)
@@ -233,7 +252,7 @@ def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -
             info = support(ratio, tol)
         return info
 
-    for start, lam, P in pencil_eigh(ratio, rs):
+    for start, lam, nu, h, P in pencil_eigh(ratio, rs):
         at = slice(start, start + lam.shape[0])
         side = _boundary_side(lam, rs[at], support_of)
         interior = np.isnan(side)
@@ -247,17 +266,19 @@ def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -
             idx = at
         else:
             idx = np.arange(start, start + lam.shape[0])[interior]
-            lam, P = lam[interior], P[interior]
-        nu = P @ mu
+            lam, nu, h, P = (None if v is None else v[interior] for v in (lam, nu, h, P))
         nu2 = nu * nu
         s_i, K, K2, w[idx], u[idx] = _solve(lam, nu2, tol)
         s[idx] = s_i
         if density:
             # J = tr(H D^-1) + x'Hx with H = P B P', D = diag(d), x = nu/d
             d = 1.0 - 2.0 * s_i[:, None] * lam
-            Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
-            J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
-                   + ((Ptx @ B) * Ptx).sum(axis=-1))
+            if P is None:  # commuting pencil: H = diag(h)
+                J_i = (h / d * (1.0 + nu2 / d)).sum(axis=-1)
+            else:
+                Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
+                J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
+                       + ((Ptx @ B) * Ptx).sum(axis=-1))
             _raise_first(J_i <= 0.0, lambda i: NumericalError(
                 f"nonpositive Jacobian weight J={J_i[i]:g} at r={rs[idx][i]}"))
             J[idx] = J_i

@@ -246,3 +246,33 @@ def test_tol_override_round_trip(heavy_tail_problem, capsys):
         )
         assert code == 1
         assert "unknown tolerance" in json.loads(err)["error"]["message"]
+
+
+def test_main_builds_its_parser_once(heavy_tail_problem, capsys, monkeypatch):
+    from qfratio import cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "cdf", "--problem", heavy_tail_problem, "--points=1")[0] == 0
+        assert run_cli(capsys, "cdf", "--problem", heavy_tail_problem)[0] == 1
+        assert run_cli(capsys, "cdf")[0] == 1  # argparse error: --problem is required
+        code, out, _ = run_cli(capsys, "pdf", "--problem", heavy_tail_problem, "--points=1,2")
+        assert code == 0 and len(out.splitlines()) == 2
+        assert run_cli(capsys, "--help")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_durbin_watson_cli_grid(tmp_path, capsys):
+    path = tmp_path / "dw.json"
+    assert run_cli(capsys, "build", "--kind", "durbin_watson", "--n", "100",
+                   "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "cdf", "--problem", str(path), "--grid", "0.5:3.5:401")
+    assert code == 0
+    values = [json.loads(line)["value"] for line in out.splitlines()]
+    assert len(values) == 401
+    assert np.all(np.diff(values) >= 0.0) and 0.0 < values[200] < 1.0

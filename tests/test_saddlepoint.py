@@ -15,8 +15,10 @@ from qfratio import (
     cgf,
     exact_cdf_n2,
     exact_density_n2,
+    ls_serial_corr,
     new_ratio,
     pdf,
+    pdf_grid,
     normalized_pdf,
     ratio_n2,
     solve_saddlepoint,
@@ -204,3 +206,37 @@ def test_normalized_pdf_beta_mass():
         lambda r: vals[0] / raw[0] * pdf(rt, r).value, 0.0, 1.0, limit=200
     )
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+LIMIT_N2 = 0.8222154  # limiting tail constant of ratio_n2(0.2, 2), limit_simple(2, 2).RE
+
+
+def test_deep_tail_density_ratio_reaches_the_limit():
+    # K' is accepted relative to its own terms at the root, not to
+    # sum |lambda| (1 + nu^2), which grows like |r| in the tail
+    rt = ratio_n2(0.2, 2.0)
+    for r in (-1e14, -1e10, -1e6, 1e6, 1e10, 1e14):
+        ratio = exact_density_n2(0.2, 2.0, r) / pdf(rt, r).value
+        assert ratio == pytest.approx(LIMIT_N2, abs=1e-5), r
+
+
+def test_deep_tail_density_decays_like_r_squared():
+    rt = ls_serial_corr(3, 2, mu=(0.4, -1.2, 0.7))
+    rs = 10.0 ** np.arange(6, 17)
+    scaled = np.array([d.value for d in pdf_grid(rt, rs)]) * rs**2
+    assert np.ptp(scaled) <= 1e-4 * scaled[0]
+
+
+def test_deep_tail_solve_adds_at_most_one_newton_pass(monkeypatch):
+    from qfratio import saddlepoint
+
+    calls = []
+    newton = saddlepoint.newton_bracketed
+    monkeypatch.setattr(saddlepoint, "newton_bracketed",
+                        lambda *a, **k: calls.append(1) or newton(*a, **k))
+    rt = ratio_n2(0.2, 2.0)
+    pdf_grid(rt, np.linspace(-5.0, 5.0, 41))
+    assert len(calls) == 1  # body points meet the scaled test in the first pass
+    calls.clear()
+    pdf_grid(rt, [-1e12, -3.0, 2.0, 1e8])
+    assert len(calls) == 2
