@@ -7,7 +7,6 @@ from .core import (
     SpectrumAtR,
     Tolerances,
     is_degenerate,
-    negate,
     new_ratio,
     spectrum_at,
     whiten,

@@ -1,11 +1,17 @@
 """Command-line surface: analyze, build, cdf, pdf, tail-limit, oracle, figure.
 
+One pipeline serves every verb: ``main`` parses the arguments, reads
+``--tol`` and loads ``--problem`` once, the verb maps ``(args, ratio, tol)``
+to a payload, and ``_emit`` writes it to ``--out`` or stdout.  A dict
+payload becomes one indented JSON document; a list of records becomes JSON
+lines, or with ``--format csv`` a CSV table headed by the record keys.  JSON
+prints floats in Python's shortest round-trip form and CSV with 17
+significant digits; both parse back to the same doubles.
+
 Problem files are JSON objects {"A": [[...]], "B": [[...]], "mu": [...]}
-with an optional "sigma" covariance that is folded in by whitening.  JSON
-output prints floats in Python's shortest round-trip form and CSV with 17
-significant digits; both parse back to the same doubles.  The cdf and pdf
-verbs evaluate their whole grid in one batched call and emit it in grid
-order.
+with an optional "sigma" covariance that is folded in by whitening.  The cdf
+and pdf verbs evaluate their whole grid in one batched call.  ``figure``
+writes two CSV tables into the directory ``--out`` and lists their paths.
 """
 
 from __future__ import annotations
@@ -58,8 +64,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -99,15 +103,20 @@ def _parse_tol(pairs) -> Tolerances:
     return tol
 
 
+def _floats(text: str, flag: str) -> list:
+    """The comma-separated numbers given to ``flag``; empty items are skipped."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise InvalidInputError(f"bad {flag} list: {exc}") from exc
+    if not values:
+        raise InvalidInputError(f"{flag} list is empty")
+    return values
+
+
 def _parse_grid(args) -> np.ndarray:
     if args.points is not None:
-        try:
-            pts = [float(p) for p in args.points.split(",") if p.strip() != ""]
-        except ValueError as exc:
-            raise InvalidInputError(f"bad --points list: {exc}") from exc
-        if not pts:
-            raise InvalidInputError("--points list is empty")
-        return np.asarray(pts)
+        return np.asarray(_floats(args.points, "--points"))
     if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
@@ -122,64 +131,40 @@ def _parse_grid(args) -> np.ndarray:
     raise InvalidInputError("one of --grid or --points is required")
 
 
-def _write(text: str, out) -> None:
-    """Write text to the --out path, or to stdout without one."""
-    if out:
-        Path(out).write_text(text)
+def _emit(payload, path, fmt: str) -> None:
+    """Write a payload, formatted as the module docstring says, to path or sys.stdout."""
+    if isinstance(payload, dict):
+        text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    elif fmt == "csv":
+        keys = list(payload[0])
+        rows = [",".join(keys)] + [",".join(_fmt(rec[k]) for k in keys) for rec in payload]
+        text = "\n".join(rows) + "\n"
+    else:
+        text = "\n".join(json.dumps(_jsonable(rec)) for rec in payload) + "\n"
+    if path:
+        Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_json(doc, out) -> None:
-    _write(json.dumps(_jsonable(doc), indent=2) + "\n", out)
+def _fields(obj, *names) -> dict:
+    """The named attributes of a result object, keyed by name in the order given."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def _csv(records, fieldnames) -> str:
-    lines = [",".join(fieldnames)]
-    lines += [",".join(_fmt(rec[k]) for k in fieldnames) for rec in records]
-    return "\n".join(lines) + "\n"
-
-
-def _emit(records, fieldnames, args):
-    """Write records as JSON lines or CSV, to --out or stdout."""
-    if args.format == "csv":
-        _write(_csv(records, fieldnames), args.out)
-    else:
-        _write("\n".join(json.dumps(_jsonable(rec)) for rec in records) + "\n", args.out)
-
-
-def _cmd_analyze(args):
-    tol = _parse_tol(args.tol)
-    ratio = _load_problem(args.problem, tol)
+def _cmd_analyze(args, ratio, tol):
     info = support_of(ratio, tol)
-    out = {
-        "n": ratio.n,
-        "support": {"l": info.l, "r_bar": info.r_bar},
-        "case_tag": info.case_tag,
-        "in_CR": info.in_CR,
-        "in_CL": info.in_CL,
-        "edges": {},
-    }
-    for side, wanted in (("right", info.in_CR), ("left", info.in_CL)):
-        if not wanted:
-            continue
-        edge = edge_structure(ratio, info, side, tol)
-        out["edges"][side] = {
-            "m": edge.m,
-            "r_edge": edge.r_edge,
-            "nu0": edge.nu0,
-            "omega": edge.omega,
-            "H_edge": edge.H_edge,
-        }
-    _write_json(out, args.out)
-    return 0
+    edges = {side: _fields(edge_structure(ratio, info, side, tol),
+                           "m", "r_edge", "nu0", "omega", "H_edge")
+             for side, wanted in (("right", info.in_CR), ("left", info.in_CL)) if wanted}
+    return {"n": ratio.n, "support": {"l": info.l, "r_bar": info.r_bar},
+            **_fields(info, "case_tag", "in_CR", "in_CL"), "edges": edges}
 
 
-def _cmd_build(args):
-    tol = _parse_tol(args.tol)
-    mu = None
-    if args.mu is not None:
-        mu = [float(v) for v in args.mu.split(",") if v.strip() != ""]
+def _cmd_build(args, ratio, tol):
+    mu = None if args.mu is None else _floats(args.mu, "--mu")
+    if args.n is not None and args.n < 2:
+        raise InvalidInputError(f"--n must be at least 2, got {args.n}")
     if args.kind == "ratio_n2":
         if mu is None or len(mu) != 2:
             raise InvalidInputError("ratio_n2 needs --mu mu1,mu2")
@@ -194,14 +179,11 @@ def _cmd_build(args):
             raise InvalidInputError("durbin_watson needs --n")
         X = _load_design(args.design) if args.design else np.ones((args.n, 1))
         ratio = builders.durbin_watson(args.n, X, mu=mu, tol=tol)
-    elif args.kind == "beta":
+    else:
         if args.n is None or args.m is None:
             raise InvalidInputError("beta needs --n and --m")
         ratio = builders.beta_matrices(args.n, args.m, mu=mu, tol=tol)
-    else:
-        raise InvalidInputError(f"unknown builder kind {args.kind!r}")
-    _write_json({"A": ratio.A, "B": ratio.B, "mu": ratio.mu}, args.out)
-    return 0
+    return {"A": ratio.A, "B": ratio.B, "mu": ratio.mu}
 
 
 def _load_design(path: str) -> np.ndarray:
@@ -212,49 +194,27 @@ def _load_design(path: str) -> np.ndarray:
     return X
 
 
-_POINT_FIELDS = ("r", "value", "s_hat", "w_hat", "u_hat", "branch")
-
-
-def _cmd_points(args):
+def _cmd_points(args, ratio, tol):
     """The cdf and pdf verbs: one saddlepoint record per grid point."""
-    tol = _parse_tol(args.tol)
-    ratio = _load_problem(args.problem, tol)
     grid = _parse_grid(args)
     approx = getattr(saddlepoint, f"{args.verb}_grid")(ratio, grid, tol)
-    records = [{"r": float(r), "value": a.value, "s_hat": a.s_hat, "w_hat": a.w_hat,
-                "u_hat": a.u_hat, "branch": a.branch} for r, a in zip(grid, approx)]
-    _emit(records, _POINT_FIELDS, args)
-    return 0
+    return [{"r": float(r), **_fields(a, "value", "s_hat", "w_hat", "u_hat", "branch")}
+            for r, a in zip(grid, approx)]
 
 
-def _cmd_tail_limit(args):
-    tol = _parse_tol(args.tol)
-    ratio = _load_problem(args.problem, tol)
+def _cmd_tail_limit(args, ratio, tol):
     info = support_of(ratio, tol)
-    sides = ["right", "left"] if args.side == "both" else [args.side]
     out = {}
-    for side in sides:
+    for side in ["right", "left"] if args.side == "both" else [args.side]:
         edge = edge_structure(ratio, info, side, tol)
         lim = tails.limit_multiple(ratio.n, edge, tol.tol_quad)
-        out[side] = {
-            "side": side,
-            "m": edge.m,
-            "nu0": edge.nu0,
-            "omega": edge.omega,
-            "t0": lim.t0,
-            "u0": lim.u0,
-            "RE_cdf": lim.RE_cdf,
-            "RE_pdf": lim.RE_pdf,
-        }
-    _write_json(out, args.out)
-    return 0
-
-
-_ORACLE_FIELDS = ("r", "exact", "approx", "ratio", "se")
+        out[side] = {"side": side, **_fields(edge, "m", "nu0", "omega"),
+                     **_fields(lim, "t0", "u0", "RE_cdf", "RE_pdf")}
+    return out
 
 
 def _tail_ratio_records(ratio, grid, tol, draws, seed, exact_cdf=None):
-    """Tail ratio records of ``oracle.relative_error_curve`` under the oracle fields.
+    """Records r, exact, approx, ratio, se of ``oracle.relative_error_curve``.
 
     With ``draws`` the exact side is Monte Carlo: one draw set serves every
     grid point and fills the se column.
@@ -268,12 +228,8 @@ def _tail_ratio_records(ratio, grid, tol, draws, seed, exact_cdf=None):
             for rec in oracle.relative_error_curve(ratio, grid, exact_cdf, tol=tol)]
 
 
-def _cmd_oracle(args):
-    tol = _parse_tol(args.tol)
-    ratio = _load_problem(args.problem, tol)
-    grid = _parse_grid(args)
-    _emit(_tail_ratio_records(ratio, grid, tol, args.draws, args.seed), _ORACLE_FIELDS, args)
-    return 0
+def _cmd_oracle(args, ratio, tol):
+    return _tail_ratio_records(ratio, _parse_grid(args), tol, args.draws, args.seed)
 
 
 def _figure_grids(info):
@@ -282,69 +238,61 @@ def _figure_grids(info):
     hi = info.r_bar if math.isfinite(info.r_bar) else 10.0
     pad = 1e-3 * (hi - lo)
     dens_grid = np.linspace(lo + pad, hi - pad, 801)
-    if math.isfinite(info.r_bar):
-        right_tail = info.r_bar - np.geomspace(pad, 1e-5 * (hi - lo), 40)
-    else:
-        right_tail = np.geomspace(10.0, 1e5, 40)
-    if math.isfinite(info.l):
-        left_tail = info.l + np.geomspace(pad, 1e-5 * (hi - lo), 40)
-    else:
-        left_tail = -np.geomspace(10.0, 1e5, 40)
-    return dens_grid, np.sort(np.concatenate([left_tail, right_tail]))
+    # each tail steps inward from a finite edge, or outward from 10 toward 1e5
+    tail_grids = [edge - sign * np.geomspace(pad, 1e-5 * (hi - lo), 40) if math.isfinite(edge)
+                  else sign * np.geomspace(10.0, 1e5, 40)
+                  for edge, sign in ((info.l, -1.0), (info.r_bar, 1.0))]
+    return dens_grid, np.sort(np.concatenate(tail_grids))
 
 
-def _cmd_figure(args):
-    tol = _parse_tol(args.tol)
-    if args.problem:
-        ratio = _load_problem(args.problem, tol)
-        exact_pdf = exact_cdf = None
-    else:
+def _cmd_figure(args, ratio, tol):
+    """Write the two CSV tables into the directory --out; the payload lists them."""
+    if ratio is None:
         ratio = builders.ratio_n2(0.2, 2.0, tol=tol)
         exact_pdf = lambda r: oracle.exact_density_n2(0.2, 2.0, r)
         exact_cdf = lambda r: oracle.exact_cdf_n2(0.2, 2.0, r)
-    info = support_of(ratio, tol)
-    dens_grid, tail_grid = _figure_grids(info)
-    if args.grid is not None or args.points is not None:
-        dens_grid = _parse_grid(args)
-
-    if exact_pdf is None:
-        # central difference of the exact CDF stands in for the exact density
+    else:
+        exact_cdf = None  # the Imhof inversion oracle
         h = 1e-4
 
         def exact_pdf(r):
+            # central difference of the exact CDF stands in for the exact density
             hi = oracle.imhof_cdf_of_R(ratio, r + h, tol)
             lo = oracle.imhof_cdf_of_R(ratio, r - h, tol)
             return (hi - lo) / (2.0 * h)
 
-    out_dir = Path(args.out or ".")
+    info = support_of(ratio, tol)
+    dens_grid, tail_grid = _figure_grids(info)
+    if args.grid is not None or args.points is not None:
+        dens_grid = _parse_grid(args)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dens_records = []
-    for r, approx in zip(dens_grid, saddlepoint.pdf_grid(ratio, dens_grid, tol)):
-        exact = exact_pdf(float(r))
-        ratio_value = exact / approx.value if approx.value > 0 else math.nan
-        dens_records.append({"r": float(r), "exact": exact, "approx": approx.value,
-                             "ratio": ratio_value, "se": 0.0})
+    for r, approx in zip(dens_grid.tolist(), saddlepoint.pdf_grid(ratio, dens_grid, tol)):
+        exact = exact_pdf(r)
+        dens_records.append({"r": r, "exact": exact, "approx": approx.value,
+                             "ratio": oracle._ratio(exact, approx.value), "se": 0.0})
     tail_records = _tail_ratio_records(ratio, tail_grid, tol, args.draws, args.seed, exact_cdf)
-    written = []
-    for name, records in (("density_comparison.csv", dens_records),
-                          ("cdf_tail_ratios.csv", tail_records)):
-        _write(_csv(records, _ORACLE_FIELDS), out_dir / name)
-        written.append(str(out_dir / name))
-    sys.stdout.write(json.dumps({"written": written}) + "\n")
-    return 0
+    tables = {"density_comparison.csv": dens_records, "cdf_tail_ratios.csv": tail_records}
+    for name, records in tables.items():
+        _emit(records, out_dir / name, "csv")
+    return [{"written": [str(out_dir / name) for name in tables]}]
 
 
-def _add_common(p, problem_required=True):
-    p.add_argument("--problem", required=problem_required, help="problem JSON path")
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="tolerance override, repeatable")
-    p.add_argument("--out", help="output path (default stdout)")
-
-
-def _add_grid(p):
-    p.add_argument("--grid", help="a:b:n linear grid")
-    p.add_argument("--points", help="comma-separated explicit points")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# Options that several verbs share, each declared once: flag -> add_argument keywords.
+_SHARED = {
+    "--problem": {"required": True, "help": "problem JSON path"},
+    "--tol": {"action": "append", "metavar": "NAME=VALUE",
+              "help": "tolerance override, repeatable"},
+    "--out": {"help": "output path (default stdout)"},
+    "--grid": {"help": "a:b:n linear grid"},
+    "--points": {"help": "comma-separated explicit points"},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--seed": {"type": int, "default": 0},
+    "--draws": {"type": int, "default": 0,
+                "help": "Monte-Carlo draws (0 uses the exact inversion oracle)"},
+}
+_GRID_FLAGS = ("--problem", "--tol", "--out", "--grid", "--points", "--format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,11 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("analyze", help="support, case tag, tail classes, edge structure")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_analyze)
+    def verb(name, fn, help, flags=(), **changed):
+        """A verb's parser with the shared ``flags``; ``changed`` updates keywords by dest."""
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **{**_SHARED[flag], **changed.get(flag[2:], {})})
+        # main reads these on every verb; a verb without the option gets the default
+        p.set_defaults(fn=fn, problem=None, out=None, format="json")
+        return p
 
-    p = sub.add_parser("build", help="write a problem JSON for a named statistic")
+    verb("analyze", _cmd_analyze, "support, case tag, tail classes, edge structure",
+         ("--problem", "--tol", "--out"))
+    p = verb("build", _cmd_build, "write a problem JSON for a named statistic")
     p.add_argument("--kind", required=True,
                    choices=("ratio_n2", "ls_serial", "durbin_watson", "beta"))
     p.add_argument("--n", type=int)
@@ -366,40 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--mu", help="comma-separated means")
     p.add_argument("--design", help="CSV design matrix path")
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(fn=_cmd_build)
-
-    p = sub.add_parser("cdf", help="saddlepoint CDF on a grid")
-    _add_common(p)
-    _add_grid(p)
-    p.set_defaults(fn=_cmd_points)
-
-    p = sub.add_parser("pdf", help="saddlepoint density on a grid")
-    _add_common(p)
-    _add_grid(p)
-    p.set_defaults(fn=_cmd_points)
-
-    p = sub.add_parser("tail-limit", help="limiting relative-error constants")
-    _add_common(p)
+    for flag in ("--tol", "--out"):
+        p.add_argument(flag, **_SHARED[flag])
+    verb("cdf", _cmd_points, "saddlepoint CDF on a grid", _GRID_FLAGS)
+    verb("pdf", _cmd_points, "saddlepoint density on a grid", _GRID_FLAGS)
+    p = verb("tail-limit", _cmd_tail_limit, "limiting relative-error constants",
+             ("--problem", "--tol", "--out"))
     p.add_argument("--side", choices=("left", "right", "both"), default="both")
-    p.set_defaults(fn=_cmd_tail_limit)
-
-    p = sub.add_parser("oracle", help="exact/Monte-Carlo CDF vs the approximation")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=0,
-                   help="Monte-Carlo draws (0 uses the exact inversion oracle)")
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("figure", help="emit density and CDF-tail CSV data files")
-    _add_common(p, problem_required=False)
-    _add_grid(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=0)
-    p.set_defaults(fn=_cmd_figure)
-
+    verb("oracle", _cmd_oracle, "exact/Monte-Carlo CDF vs the approximation",
+         _GRID_FLAGS + ("--seed", "--draws"))
+    verb("figure", _cmd_figure, "emit density and CDF-tail CSV data files",
+         ("--problem", "--tol", "--out", "--grid", "--points", "--seed", "--draws"),
+         problem={"required": False}, out={"dest": "out_dir", "metavar": "DIR", "default": ".",
+                                           "help": "output directory (default .)"})
     return parser
 
 
@@ -410,13 +344,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        tol = _parse_tol(args.tol)
+        ratio = _load_problem(args.problem, tol) if args.problem else None
+        _emit(args.fn(args, ratio, tol), args.out, args.format)
+        return 0
     except QfrError as exc:
         code = _EXIT_CODES.get(type(exc), 3)
         sys.stderr.write(json.dumps({

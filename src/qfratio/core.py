@@ -98,16 +98,15 @@ class SpectrumAtR:
 
     ``lambdas`` are ascending; the rows of the orthogonal matrix ``P`` are
     the matching eigenvectors, so P (A - rB) P' = diag(lambdas).
-    ``nu = P mu`` carries the noncentralities and ``H = P B P'``.  For a
-    commuting pencil P is the joint basis in the order of the lambdas, and
-    H is diagonal to rounding.
+    ``nu = P mu`` carries the noncentralities.  For a commuting pencil P is
+    the joint basis in the order of the lambdas, so P B P' is diagonal to
+    rounding.
     """
 
     r: float
     lambdas: np.ndarray
     P: np.ndarray
     nu: np.ndarray
-    H: np.ndarray
 
     @property
     def n(self) -> int:
@@ -313,13 +312,7 @@ def spectrum_at(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -
         lambdas=_frozen(lam[0]),
         P=_frozen(P),
         nu=_frozen(P @ ratio.mu),
-        H=_frozen(P @ ratio.B @ P.T),
     )
-
-
-def negate(ratio: QuadFormRatio) -> QuadFormRatio:
-    """Map R to -R by flipping A; left-tail queries become right-tail ones."""
-    return QuadFormRatio(A=_frozen(-ratio.A), B=ratio.B, mu=ratio.mu)
 
 
 def is_degenerate(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL):

@@ -240,7 +240,7 @@ def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
 
     scales = _scale_breakpoints(combo)
     T = 200.0 * scales[-1]
-    if x != 0.0:
+    if half_x != 0.0:  # x/2 underflows to 0 for the smallest subnormal x
         # past ten periods of the phase x*u/2 the Fourier rule is cheaper than
         # resolving each oscillation adaptively
         T = min(T, 20.0 * math.pi / abs(half_x))

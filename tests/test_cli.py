@@ -1,10 +1,24 @@
 """End-to-end command-line behavior: verbs, formats, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qfratio import (
+    beta_matrices,
+    cdf_grid,
+    edge_structure,
+    limit_multiple,
+    pdf_grid,
+    ratio_n2,
+    relative_error_curve,
+    support,
+)
 from qfratio.cli import main
 
 
@@ -276,3 +290,149 @@ def test_durbin_watson_cli_grid(tmp_path, capsys):
     values = [json.loads(line)["value"] for line in out.splitlines()]
     assert len(values) == 401
     assert np.all(np.diff(values) >= 0.0) and 0.0 < values[200] < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "ratio_n2", "--mu", "a,b"),
+    ("--kind", "durbin_watson", "--n", "-3"),
+])
+def test_build_bad_input_is_typed_error(capsys, argv):
+    code, out, err = run_cli(capsys, "build", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+
+def test_figure_has_no_format_option(tmp_path, capsys):
+    out_dir = tmp_path / "figs"
+    code, out, _ = run_cli(capsys, "figure", "--format", "csv", "--out", str(out_dir))
+    assert code == 1 and out == "" and not out_dir.exists()
+
+
+def test_writer_reads_stdout_at_call_time(heavy_tail_problem):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["cdf", "--problem", heavy_tail_problem, "--points=1,2"]) == 0
+    assert [json.loads(line)["r"] for line in buf.getvalue().splitlines()] == [1.0, 2.0]
+
+
+# -- the output contract of every verb ---------------------------------------------------
+
+POINT_KEYS = ["r", "value", "s_hat", "w_hat", "u_hat", "branch"]
+RATIO_KEYS = ["r", "exact", "approx", "ratio", "se"]
+CONTRACT = {  # build arguments, grid points inside the support
+    "ratio_n2": (("--kind", "ratio_n2", "--mu", "0.2,2"), "-3,0.5,4"),
+    "beta62": (("--kind", "beta", "--n", "6", "--m", "2"), "0.1,0.5,0.9"),
+}
+VERB_CASES = [("build", None), ("analyze", None), ("cdf", "json"), ("cdf", "csv"),
+              ("pdf", "json"), ("pdf", "csv"), ("tail-limit", None), ("oracle", "json"),
+              ("oracle", "csv"), ("figure", None)]
+
+
+def _num(v):
+    """A number as the CLI prints it: JSON null is nan, "inf"/"-inf" and CSV cells parse."""
+    return math.nan if v is None else float(v)
+
+
+def _csv(text):
+    """Header and records of CSV output; every finite number has 17 significant digits."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    for cell in itertools.chain(*rows):
+        if cell.lstrip("-")[:1].isdigit():
+            assert format(float(cell), ".17g") == cell
+    return header, [dict(zip(header, row)) for row in rows]
+
+
+def _records(text, fmt):
+    """Keys (the CSV header or every JSON line's key order) and records of grid output."""
+    if fmt == "csv":
+        return _csv(text)
+    records = [json.loads(line) for line in text.splitlines()]
+    keys = [list(rec) for rec in records]
+    assert all(k == keys[0] for k in keys)
+    return keys[0], records
+
+
+def _assert_values(records, key, expected):
+    got = [_num(rec[key]) for rec in records]
+    assert got == pytest.approx(list(expected), rel=1e-12, abs=0.0, nan_ok=True)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+@pytest.mark.parametrize("verb, fmt", VERB_CASES)
+def test_cli_contract(name, verb, fmt, tmp_path, capsys):
+    # exit code, key order or CSV header, and values against direct library calls
+    rt = ratio_n2(0.2, 2.0) if name == "ratio_n2" else beta_matrices(6, 2)
+    build_args, points = CONTRACT[name]
+    grid = np.array([float(p) for p in points.split(",")])
+    path = str(tmp_path / "problem.json")
+    assert run_cli(capsys, "build", *build_args, "--out", path)[0] == 0
+    info = support(rt)
+    fmt_args = ("--format", fmt) if fmt else ()
+
+    if verb == "build":
+        code, out, _ = run_cli(capsys, "build", *build_args)
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == ["A", "B", "mu"]
+        assert np.array_equal(doc["A"], rt.A) and np.array_equal(doc["B"], rt.B)
+        assert np.array_equal(doc["mu"], rt.mu)
+    elif verb == "analyze":
+        code, out, _ = run_cli(capsys, "analyze", "--problem", path)
+        doc = json.loads(out)
+        assert code == 0
+        assert list(doc) == ["n", "support", "case_tag", "in_CR", "in_CL", "edges"]
+        assert (doc["n"], doc["case_tag"]) == (rt.n, info.case_tag)
+        assert [_num(doc["support"][k]) for k in ("l", "r_bar")] == [info.l, info.r_bar]
+        assert list(doc["edges"]) == ["right", "left"]
+        for side, got in doc["edges"].items():
+            edge = edge_structure(rt, info, side)
+            assert list(got) == ["m", "r_edge", "nu0", "omega", "H_edge"]
+            assert got["m"] == edge.m and _num(got["r_edge"]) == edge.r_edge
+            assert got["omega"] == pytest.approx(list(edge.omega), rel=1e-12, abs=0.0)
+    elif verb in ("cdf", "pdf"):
+        code, out, _ = run_cli(capsys, verb, "--problem", path, f"--points={points}", *fmt_args)
+        assert code == 0
+        keys, records = _records(out, fmt)
+        assert keys == POINT_KEYS
+        direct = (cdf_grid if verb == "cdf" else pdf_grid)(rt, grid)
+        _assert_values(records, "r", grid)
+        for key in POINT_KEYS[1:-1]:
+            _assert_values(records, key, [getattr(a, key) for a in direct])
+        assert [rec["branch"] for rec in records] == [a.branch for a in direct]
+    elif verb == "tail-limit":
+        code, out, _ = run_cli(capsys, "tail-limit", "--problem", path)
+        doc = json.loads(out)
+        assert code == 0 and list(doc) == ["right", "left"]
+        for side, got in doc.items():
+            edge = edge_structure(rt, info, side)
+            lim = limit_multiple(rt.n, edge)
+            assert list(got) == ["side", "m", "nu0", "omega", "t0", "u0", "RE_cdf", "RE_pdf"]
+            assert (got["side"], got["m"]) == (side, edge.m)
+            for key in ("t0", "u0", "RE_cdf", "RE_pdf"):
+                assert _num(got[key]) == pytest.approx(getattr(lim, key), rel=1e-12, abs=0.0)
+    elif verb == "oracle":
+        code, out, _ = run_cli(capsys, "oracle", "--problem", path, f"--points={points}",
+                               *fmt_args)
+        assert code == 0
+        keys, records = _records(out, fmt)
+        assert keys == RATIO_KEYS
+        curve = relative_error_curve(rt, grid)
+        _assert_values(records, "approx", [a.value for a in cdf_grid(rt, grid)])
+        _assert_values(records, "exact", [rec["exact"] for rec in curve])
+        _assert_values(records, "ratio", [rec["cdf_ratio"] for rec in curve])
+        _assert_values(records, "se", [0.0] * grid.size)
+    else:
+        out_dir = tmp_path / "figs"
+        # the default instance is ratio_n2(0.2, 2); the beta problem draws its tail by Monte Carlo
+        extra = () if name == "ratio_n2" else ("--problem", path, "--draws", "2000")
+        code, out, _ = run_cli(capsys, "figure", "--out", str(out_dir),
+                               f"--points={points}", *extra)
+        names = ["density_comparison.csv", "cdf_tail_ratios.csv"]
+        assert code == 0 and len(out.splitlines()) == 1
+        assert json.loads(out) == {"written": [str(out_dir / n) for n in names]}
+        tables = [_csv((out_dir / n).read_text()) for n in names]
+        assert [header for header, _ in tables] == [RATIO_KEYS, RATIO_KEYS]
+        (_, dens), (_, tail) = tables
+        _assert_values(dens, "r", grid)
+        _assert_values(dens, "approx", [d.value for d in pdf_grid(rt, grid)])
+        tail_r = np.array([_num(rec["r"]) for rec in tail])
+        _assert_values(tail, "approx", [a.value for a in cdf_grid(rt, tail_r)])

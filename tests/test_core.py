@@ -11,7 +11,6 @@ from qfratio import (
     InvalidInputError,
     Tolerances,
     is_degenerate,
-    negate,
     new_ratio,
     ratio_n2,
     spectrum_at,
@@ -138,17 +137,20 @@ def test_spectrum_reconstruction_and_trace(rng):
 
 
 def test_spectrum_H_is_rotated_B(rng):
+    # H = P B P' holds the eigenvalue slopes: d lambda_j / dr = -H_jj
     rt = random_case1(4, rng_for(55))
     sp = spectrum_at(rt, 0.7)
-    P = np.asarray(sp.P)
-    assert np.allclose(sp.H, P @ np.asarray(rt.B) @ P.T, atol=1e-12)
+    H = sp.P @ np.asarray(rt.B) @ sp.P.T
+    h = 1e-6
+    up, down = spectrum_at(rt, 0.7 + h), spectrum_at(rt, 0.7 - h)
+    slopes = (np.asarray(up.lambdas) - np.asarray(down.lambdas)) / (2.0 * h)
+    assert np.allclose(slopes, -np.diag(H), rtol=0.0, atol=1e-7)
 
 
-def test_negate_involution_and_reflection():
+def test_reflection_flips_the_spectrum():
+    # -R = e'(-A)e / e'Be: the spectrum at r is minus that of R at -r
     rt = ratio_n2(0.2, 2.0)
-    back = negate(negate(rt))
-    assert np.array_equal(back.A, rt.A)
-    sp = spectrum_at(negate(rt), 1.5)
+    sp = spectrum_at(new_ratio(-rt.A, rt.B, rt.mu), 1.5)
     sp0 = spectrum_at(rt, -1.5)
     assert np.allclose(np.sort(sp.lambdas), np.sort(-np.asarray(sp0.lambdas)[::-1]), atol=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfratio import (
@@ -225,6 +225,7 @@ def test_imhof_mixed_combo_vs_mc():
     st.floats(-4.0, 4.0),
     st.floats(0.05, 2.0),
 )
+@example(w1=1.0, w2=1.0, x=5e-324, dx=1.0)  # x/2 underflows to 0
 def test_imhof_monotone_in_x(w1, w2, x, dx):
     combo = Chi2Combo(((w1, 2, 0.5), (-w2, 2, 0.0)))
     assert imhof_cdf(combo, x + dx) >= imhof_cdf(combo, x) - 1e-9
