@@ -23,18 +23,14 @@ from .oracle import (
 )
 from .saddlepoint import (
     CdfApprox,
-    CgfEval,
     DensityApprox,
     SaddlepointSolution,
-    Strip,
     cdf,
     cdf_grid,
-    cgf,
     normalized_pdf,
     pdf,
     pdf_grid,
     solve_saddlepoint,
-    strip,
 )
 from .specfun import (
     Chi2Combo,
@@ -54,6 +50,6 @@ from .support import (
     edge_structure,
     support,
 )
-from .tails import BetaLimit, TailLimitMultiple, TailLimitSimple, beta_limit, central_ratio, limit_multiple, limit_simple
+from .tails import BetaLimit, TailLimitMultiple, beta_limit, central_ratio, limit_multiple, limit_simple
 
 __version__ = "0.1.0"

@@ -161,7 +161,16 @@ def _cmd_analyze(args, ratio, tol):
             **_fields(info, "case_tag", "in_CR", "in_CL"), "edges": edges}
 
 
+# the options each build --kind takes, besides the shared --tol and --out
+_BUILD_OPTIONS = {"ratio_n2": ("mu",), "ls_serial": ("n", "lag", "design", "mu"),
+                  "durbin_watson": ("n", "design", "mu"), "beta": ("n", "m", "mu")}
+
+
 def _cmd_build(args, ratio, tol):
+    foreign = [f"--{k}" for k in ("n", "lag", "m", "mu", "design")
+               if getattr(args, k) is not None and k not in _BUILD_OPTIONS[args.kind]]
+    if foreign:
+        raise InvalidInputError(f"build --kind {args.kind} does not take {', '.join(foreign)}")
     mu = None if args.mu is None else _floats(args.mu, "--mu")
     if args.n is not None and args.n < 2:
         raise InvalidInputError(f"--n must be at least 2, got {args.n}")

@@ -1,11 +1,14 @@
-"""CGF of X_r, saddlepoint solving, Lugannani-Rice CDF and the density of R.
+"""Saddlepoint solving, Lugannani-Rice CDF and the density of R.
 
 X_r = e'(A - rB)e is the signed quadratic form whose sign probabilities give
-the CDF of R.  Its CGF is a sum of noncentral chi-square cumulant terms over
-the pencil spectrum; the saddlepoint is the unique root of K' inside the
-convergence strip, found by safeguarded Newton bracketed by the strip.
-``cdf_grid``/``pdf_grid`` evaluate a whole grid at once on stacked spectra,
-one Newton lane per point; ``cdf``/``pdf`` are their one-point case.
+the CDF of R.  Its CGF K is a sum of noncentral chi-square cumulant terms
+over the pencil spectrum; ``cumulant_sums`` evaluates K and its derivatives
+for a whole stack of spectra at once.  The saddlepoint is the unique root of
+K' inside the convergence strip 1/(2*lambda_min) < s < 1/(2*lambda_max),
+found by one safeguarded Newton pass bracketed by the strip and stopped at
+the rounding scale of K' itself.  ``cdf_grid``/``pdf_grid`` evaluate a whole
+grid at once on stacked spectra, one Newton lane per point; ``cdf``/``pdf``
+are their one-point case, and ``solve_saddlepoint`` solves one spectrum.
 """
 
 from __future__ import annotations
@@ -26,28 +29,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class Strip:
-    """Open convergence strip (lo, hi) of the MGF of X_r, containing 0."""
-
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class CgfEval:
-    s: float
-    K: float
-    K1: float
-    K2: float
-    K3: float
-
-
-@dataclass(frozen=True)
 class SaddlepointSolution:
     s_hat: float
     w_hat: float
     u_hat: float
-    cgf_at_shat: CgfEval
+    K: float
+    K2: float
 
 
 @dataclass(frozen=True)
@@ -69,54 +56,32 @@ class DensityApprox:
     u_hat: float
 
 
-def _strip_bounds(lam: np.ndarray):
-    """Strip edges 1/(2*lambda_min), 1/(2*lambda_max) per lane; -inf/+inf when one-signed."""
-    lam_min, lam_max = lam[..., 0], lam[..., -1]
-    if ((lam_min == 0.0) & (lam_max == 0.0)).any():
-        raise InvalidInputError("all-zero spectrum: degenerate instance")
-    with np.errstate(divide="ignore"):
-        return (np.where(lam_min < 0, 0.5 / lam_min, -np.inf),
-                np.where(lam_max > 0, 0.5 / lam_max, np.inf))
-
-
-def strip(spectrum: SpectrumAtR) -> Strip:
-    """Convergence strip: 1/(2*lambda_min) < s < 1/(2*lambda_max).
-
-    One-signed spectra give a half-infinite strip on the unconstrained side.
-    """
-    lo, hi = _strip_bounds(np.asarray(spectrum.lambdas))
-    return Strip(lo=float(lo), hi=float(hi))
-
-
-def cumulant_sums(lam, nu2, s, orders=(0, 1, 2, 3)) -> list:
+def cumulant_sums(lam, nu2, s, orders=(0, 1, 2, 3), k1_scale=False) -> list:
     """K^(j)(s) for each j in ``orders``, X = sum_i lam_i chi2_1(nu2_i).
 
     The last axis of ``lam`` and ``nu2`` runs over the terms; ``s`` holds
     one tilt per lane of the leading axes.  With d = 1 - 2*s*lam and
     x = lam/d, K = sum(-log(d)/2 + s*lam*nu2/d) and, for j >= 1,
-    K^(j) = 2^(j-1) (j-1)! sum(x^j (1 + j*nu2/d)).
+    K^(j) = 2^(j-1) (j-1)! sum(x^j (1 + j*nu2/d)).  With ``k1_scale`` the
+    list ends with sum(|x| (1 + nu2/d)), the magnitudes of the terms of K'.
     """
     t = 2.0 * np.asarray(s, dtype=float)[..., None] * lam
     d = 1.0 - t
     y = nu2 / d
     x = lam / d
+    k1_terms = x * (1.0 + y)
     out = []
     for j in orders:
         if j == 0:
             out.append((0.5 * t * y - 0.5 * np.log1p(-t)).sum(axis=-1))
+        elif j == 1:
+            out.append(k1_terms.sum(axis=-1))
         else:
-            term = ((x if j == 1 else x**j) * (1.0 + j * y)).sum(axis=-1)
-            out.append(term if j == 1 else 2 ** (j - 1) * math.factorial(j - 1) * term)
+            term = (x**j * (1.0 + j * y)).sum(axis=-1)
+            out.append(2 ** (j - 1) * math.factorial(j - 1) * term)
+    if k1_scale:  # d > 0 in the strip: |x (1 + nu2/d)| = |x| (1 + nu2/d)
+        out.append(np.abs(k1_terms).sum(axis=-1))
     return out
-
-
-def cgf(spectrum: SpectrumAtR, s: float) -> CgfEval:
-    """K and its first three derivatives at a strip-interior tilt s."""
-    lam = np.asarray(spectrum.lambdas)
-    if np.any(1.0 - 2.0 * s * lam <= 0.0):
-        raise InvalidInputError(f"tilt s={s} is outside the convergence strip")
-    K, K1, K2, K3 = (float(v) for v in cumulant_sums(lam, np.asarray(spectrum.nu) ** 2, s))
-    return CgfEval(s=float(s), K=K, K1=K1, K2=K2, K3=K3)
 
 
 def _raise_first(bad: np.ndarray, make) -> None:
@@ -125,57 +90,48 @@ def _raise_first(bad: np.ndarray, make) -> None:
         raise make(int(np.argmax(bad)))
 
 
-def _newton_pass(lam, nu2, lo, hi, x0, f_tol):
-    """One bracketed Newton solve of K' = 0 per lane: s, K, K', K'' at its better last point."""
-    edges = 2.0 * lam[:, [0, -1]]
-
-    def k1_and_slope(s):
-        # Newton steps on K' * d_min * d_max (d = 1 - 2*s*lambda at the two
-        # extreme eigenvalues): the same root without the poles at the strip
-        # edges, near which plain Newton creeps
-        K1, K2 = cumulant_sums(lam, nu2, s, (1, 2))
-        return K1, K2 - K1 * (edges / (1.0 - s[..., None] * edges)).sum(axis=-1)
-
-    # Newton stops on the |K'| test; its last step leaves |K'| far under the
-    # tolerance, unless the slope there is rounding noise: one cumulant pass
-    # covers both the last point and the accepted one before it, and the
-    # smaller |K'| wins
-    s_pair = newton_bracketed(k1_and_slope, lo, hi, x0=x0, f_tol=f_tol)
-    cols = (s_pair, *cumulant_sums(lam, nu2, s_pair, (0, 1, 2)))
-    last = abs(cols[2][0]) <= abs(cols[2][1])
-    if last.all():
-        return [v[0] for v in cols]
-    return [np.where(last, v[0], v[1]) for v in cols]
-
-
 def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
     """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'', w_hat, u_hat per lane.
 
-    K' is accepted at tol_root times the sum of its own terms' magnitudes,
-    sum |lambda/d| (1 + nu^2/d) with d = 1 - 2*s_hat*lambda, the rounding
-    scale of K' at the root.  The first pass stops on the same test with
-    d = 1, which needs no root; deep in an infinite tail, where one lambda
-    is about -r, that bound grows like |r| and passes points far from the
-    root, so lanes that miss the scaled test take a second pass from there.
+    One bracketed Newton pass per lane accepts K' at tol_root times the
+    rounding scale of K' at s, the smaller of sum |lambda/d| (1 + nu^2/d),
+    with d = 1 - 2*s*lambda, and its s = 0 value sum |lambda| (1 + nu^2).
+    Deep in an infinite tail, where one lambda is about -r, the s = 0 sum
+    grows like |r| while K' at the root keeps the scale of its own terms.
+    Newton sees K' and its step slope both divided by that scale: the steps
+    are those on K', and only the stop test is scaled.
     """
     if not ((lam[:, 0] < 0.0) & (lam[:, -1] > 0.0)).all():
-        _strip_bounds(lam)  # an all-zero spectrum is invalid input
+        if ((lam[:, 0] == 0.0) & (lam[:, -1] == 0.0)).any():
+            raise InvalidInputError("all-zero spectrum: degenerate instance")
         # one-signed spectrum: K' never changes sign, r is outside the open support
         raise UnsupportedInstanceError(
             "no saddlepoint: the spectrum is one-signed (r outside the open support)"
         )
     lo, hi = 0.5 / lam[:, 0], 0.5 / lam[:, -1]
     lo, hi = lo + 1e-12 * np.abs(lo), hi - 1e-12 * np.abs(hi)
-    s_hat, K, K1, K2 = _newton_pass(lam, nu2, lo, hi, 0.0,
-                                    tol.tol_root * (np.abs(lam) * (1.0 + nu2)).sum(axis=-1))
-    d = 1.0 - 2.0 * s_hat[:, None] * lam
-    k1_tol = tol.tol_root * (np.abs(lam / d) * (1.0 + nu2 / d)).sum(axis=-1)
-    redo = abs(K1) > k1_tol
-    if redo.any():
-        again = _newton_pass(lam[redo], nu2[redo], lo[redo], hi[redo], s_hat[redo], k1_tol[redo])
-        for col, v in zip((s_hat, K, K1, K2), again):
-            col[redo] = v
-    _raise_first(abs(K1) > k1_tol, lambda i: NumericalError(
+    edges = 2.0 * lam[:, [0, -1]]
+    cap = (np.abs(lam) * (1.0 + nu2)).sum(axis=-1)
+
+    def k1_and_slope(s):
+        # Newton steps on K' * d_min * d_max (d = 1 - 2*s*lambda at the two
+        # extreme eigenvalues): the same root without the poles at the strip
+        # edges, near which plain Newton creeps
+        K1, K2, scale = cumulant_sums(lam, nu2, s, (1, 2), k1_scale=True)
+        slope = K2 - K1 * (edges / (1.0 - s[..., None] * edges)).sum(axis=-1)
+        scale = np.minimum(scale, cap)
+        return K1 / scale, slope / scale
+
+    # Newton stops on the scaled test; its last step leaves |K'| far under the
+    # tolerance, unless the slope there is rounding noise: one cumulant pass
+    # covers both the last point and the accepted one before it, and the
+    # smaller scaled |K'| wins
+    s_pair = np.array(newton_bracketed(k1_and_slope, lo, hi, x0=0.0, f_tol=tol.tol_root))
+    K, K1, K2, scale = cumulant_sums(lam, nu2, s_pair, (0, 1, 2), k1_scale=True)
+    miss = np.abs(K1) / np.minimum(scale, cap)
+    last = miss[0] <= miss[1]
+    s_hat, K, K1, K2, miss = (np.where(last, v[0], v[1]) for v in (s_pair, K, K1, K2, miss))
+    _raise_first(miss > tol.tol_root, lambda i: NumericalError(
         f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
     w_hat = np.copysign(np.sqrt(np.maximum(-2.0 * K, 0.0)), s_hat)
     return s_hat, K, K2, w_hat, s_hat * np.sqrt(K2)
@@ -184,10 +140,10 @@ def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
 def solve_saddlepoint(
     spectrum: SpectrumAtR, tol: Tolerances = DEFAULT_TOL
 ) -> SaddlepointSolution:
-    """Unique root of K' in the strip, with the w-hat/u-hat pair."""
+    """Unique root of K' in the strip, with the w-hat/u-hat pair and K, K'' there."""
     lam = np.asarray(spectrum.lambdas)[None]
-    s, _, _, w, u = (float(v[0]) for v in _solve(lam, np.asarray(spectrum.nu)[None] ** 2, tol))
-    return SaddlepointSolution(s_hat=s, w_hat=w, u_hat=u, cgf_at_shat=cgf(spectrum, s))
+    s, K, K2, w, u = (float(v[0]) for v in _solve(lam, np.asarray(spectrum.nu)[None] ** 2, tol))
+    return SaddlepointSolution(s_hat=s, w_hat=w, u_hat=u, K=K, K2=K2)
 
 
 # prefilter: a spectrum one-signed to within this relative scale flags its

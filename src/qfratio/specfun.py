@@ -27,28 +27,31 @@ def ln_hyp1f1(a: float, b: float, z: float) -> float:
     """log of 1F1(a; b; z) for finite a > 0, b > 0 and z >= 0: one Kummer sum.
 
     Each term is the last times (a + k) z / ((b + k)(k + 1)), all positive.
-    The sum is held as exp(ln_scale) * total, with total folded into ln_scale
-    past 1e280, so no term overflows at any z.  It stops once a term is below
-    1e-17 of the total and no later term can grow: past the peak when a >= b
-    (the term ratio then decreases in k), and once k + 1 >= z when a < b.
+    The terms k >= 1 are summed apart from the leading 1, and the log is
+    log1p of that sum, so a 1F1 close to 1 keeps its relative accuracy.
+    Past 1e280 the whole sum is folded into ln_scale, so no term overflows
+    at any z.  It stops once a term is below 1e-17 of the sum of the terms
+    k >= 1 and no later term can grow: past the peak when a >= b (the term
+    ratio then decreases in k), and once k + 1 >= z when a < b.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 <= z < math.inf):
         raise InvalidInputError(f"ln_hyp1f1 needs finite a, b > 0 and z >= 0, got {a}, {b}, {z}")
     if a + z > _KUMMER_MAX_TERMS:
         raise NumericalError(f"1F1({a}; {b}; {z}) needs about a + z > {_KUMMER_MAX_TERMS:g} terms")
-    term = total = 1.0  # the k = 0 term
-    ln_scale = 0.0
+    term = lead = 1.0  # the k = 0 term; 0 once folded into ln_scale
+    rest = ln_scale = 0.0
     k = 0
     while True:
         term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
+        rest += term
         k += 1
-        if total > 1e280:
+        if rest > 1e280:
+            total = lead + rest
             ln_scale += math.log(total)
             term /= total
-            total = 1.0
-        if term < 1e-17 * total and (a + k) * z < (b + k) * (k + 1) and (a >= b or k + 1 >= z):
-            return ln_scale + math.log(total)
+            lead, rest = 0.0, 1.0
+        if term <= 1e-17 * rest and (a + k) * z < (b + k) * (k + 1) and (a >= b or k + 1 >= z):
+            return math.log1p(rest) if lead else ln_scale + math.log(rest)
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:

@@ -23,14 +23,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class TailLimitSimple:
-    t0: float
-    u0: float
-    eta2: float
-    RE: float  # shared by the CDF and density approximations
-
-
-@dataclass(frozen=True)
 class TailLimitMultiple:
     t0: float
     u0: float
@@ -51,13 +43,13 @@ class BetaLimit:
     RE: float
 
 
-def limit_simple(n: int, nu0: float) -> TailLimitSimple:
+def limit_simple(n: int, nu0: float) -> BetaLimit:
     """Closed-form limiting relative error for a simple vanishing eigenvalue.
 
-    This is the noncentral beta limit at m = 1 with theta = nu0^2.
+    This is the noncentral beta limit at m = 1 with theta = nu0^2; its RE is
+    shared by the CDF and density approximations.
     """
-    lim = beta_limit(n, 1, float(nu0) ** 2)
-    return TailLimitSimple(t0=lim.t0, u0=lim.u0, eta2=lim.eta2, RE=lim.RE)
+    return beta_limit(n, 1, float(nu0) ** 2)
 
 
 def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:

@@ -24,7 +24,6 @@ from qfratio import (
     beta_limit,
     beta_matrices,
     cdf,
-    cgf,
     density_at_zero,
     edge_structure,
     exact_cdf_n2,
@@ -39,9 +38,9 @@ from qfratio import (
     solve_saddlepoint,
     spectrum_at,
     stirling_beta_hat,
-    strip,
     support,
 )
+from qfratio.saddlepoint import cumulant_sums
 from qfratio.support import EdgeStructure
 
 from anchors import CDF_RATIO, DENSITY_RATIO
@@ -210,17 +209,15 @@ def test_criterion_10_cgf_derivatives():
         rt = random_case1(4, rng)
         r = float(rng.uniform(-1.5, 1.5))
         sp = spectrum_at(rt, r)
-        st_ = strip(sp)
-        lo = max(0.6 * st_.lo, -20.0)
-        hi = min(0.6 * st_.hi, 20.0)
+        lam, nu2 = np.asarray(sp.lambdas), np.asarray(sp.nu) ** 2
+        # 0.6 of the way to each edge of the strip 1/(2 lam_min) < s < 1/(2 lam_max)
+        lo = max(0.3 / lam[0], -20.0) if lam[0] < 0 else -20.0
+        hi = min(0.3 / lam[-1], 20.0) if lam[-1] > 0 else 20.0
         s = float(rng.uniform(lo, hi))
         h = 1e-6 * (hi - lo)
-        ce = cgf(sp, s)
-        for exact, fd in (
-            (ce.K1, (cgf(sp, s + h).K - cgf(sp, s - h).K) / (2 * h)),
-            (ce.K2, (cgf(sp, s + h).K1 - cgf(sp, s - h).K1) / (2 * h)),
-            (ce.K3, (cgf(sp, s + h).K2 - cgf(sp, s - h).K2) / (2 * h)),
-        ):
+        K = cumulant_sums(lam, nu2, np.array([s, s + h, s - h]))
+        for j in range(1, 4):
+            exact, fd = K[j][0], (K[j - 1][1] - K[j - 1][2]) / (2 * h)
             worst = max(worst, abs(exact - fd) / max(abs(exact), 1e-8))
     ok = worst <= 1e-6
     _report(10, "CGF derivatives vs central differences", ok,

@@ -302,6 +302,23 @@ def test_build_bad_input_is_typed_error(capsys, argv):
     assert json.loads(err)["error"]["type"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("argv, foreign", [
+    (("--kind", "ratio_n2", "--mu", "0.2,2", "--design", "missing.csv", "--lag", "7", "--m", "9"),
+     ("--lag", "--m", "--design")),
+    (("--kind", "beta", "--n", "6", "--m", "2", "--lag", "9", "--design", "missing.csv"),
+     ("--lag", "--design")),
+    (("--kind", "durbin_watson", "--n", "10", "--m", "2"), ("--m",)),
+    (("--kind", "ls_serial", "--n", "10", "--lag", "1", "--m", "2"), ("--m",)),
+])
+def test_build_rejects_options_its_kind_does_not_take(tmp_path, capsys, argv, foreign):
+    path = tmp_path / "problem.json"
+    code, out, err = run_cli(capsys, "build", *argv, "--out", str(path))
+    error = json.loads(err)["error"]
+    assert code == 1 and out == "" and not path.exists()
+    assert error["type"] == "InvalidInputError"
+    assert all(flag in error["message"] for flag in foreign)
+
+
 def test_figure_has_no_format_option(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run_cli(capsys, "figure", "--format", "csv", "--out", str(out_dir))

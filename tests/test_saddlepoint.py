@@ -1,4 +1,4 @@
-"""CGF evaluation, saddlepoint solving and the CDF/density approximations."""
+"""Cumulant sums, saddlepoint solving and the CDF/density approximations."""
 
 import math
 
@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from qfratio import (
     DEFAULT_TOL,
+    InvalidInputError,
+    SpectrumAtR,
     UnsupportedInstanceError,
     beta_matrices,
     cdf,
-    cgf,
     exact_cdf_n2,
     exact_density_n2,
     ls_serial_corr,
@@ -23,35 +24,23 @@ from qfratio import (
     ratio_n2,
     solve_saddlepoint,
     spectrum_at,
-    strip,
 )
+from qfratio.saddlepoint import cumulant_sums
 
 from conftest import random_case1, rng_for
 
 
-def test_strip_two_sided():
-    sp = spectrum_at(ratio_n2(0.0, 0.0), 0.0)  # lambdas -1/2, +1/2
-    st_ = strip(sp)
-    assert st_.lo == pytest.approx(-1.0)
-    assert st_.hi == pytest.approx(1.0)
-
-
-def test_strip_half_infinite():
-    rt = new_ratio(np.diag([1.0, 1.0]), np.eye(2), np.zeros(2))
-    rt2 = new_ratio(np.diag([1.0, 2.0]), np.eye(2), np.zeros(2))
-    sp = spectrum_at(rt2, 3.0)  # all eigenvalues negative
-    assert math.isinf(strip(sp).hi) or math.isinf(strip(sp).lo)
+def _terms(sp):
+    return np.asarray(sp.lambdas), np.asarray(sp.nu) ** 2
 
 
 def test_cgf_at_zero_is_zero():
-    sp = spectrum_at(ratio_n2(0.2, 2.0), 1.0)
-    ce = cgf(sp, 0.0)
-    assert ce.K == pytest.approx(0.0, abs=1e-15)
+    lam, nu2 = _terms(spectrum_at(ratio_n2(0.2, 2.0), 1.0))
+    K, K1, K2, _ = cumulant_sums(lam, nu2, 0.0)
+    assert K == pytest.approx(0.0, abs=1e-15)
     # K'(0) = E[X_r], K''(0) = Var[X_r] for the chi-square combination
-    lam = np.asarray(sp.lambdas)
-    nu2 = np.asarray(sp.nu) ** 2
-    assert ce.K1 == pytest.approx(float(np.sum(lam * (1.0 + nu2))), rel=1e-12)
-    assert ce.K2 == pytest.approx(float(np.sum(2 * lam**2 * (1 + 2 * nu2))), rel=1e-12)
+    assert K1 == pytest.approx(float(np.sum(lam * (1.0 + nu2))), rel=1e-12)
+    assert K2 == pytest.approx(float(np.sum(2 * lam**2 * (1 + 2 * nu2))), rel=1e-12)
 
 
 def test_cgf_derivatives_match_finite_differences(rng):
@@ -59,19 +48,16 @@ def test_cgf_derivatives_match_finite_differences(rng):
         local = rng_for(1000 + seed)
         rt = random_case1(4, local)
         r = float(local.uniform(-1.0, 1.0))
-        sp = spectrum_at(rt, r)
-        st_ = strip(sp)
-        lo = max(0.6 * st_.lo, -20.0)
-        hi = min(0.6 * st_.hi, 20.0)
+        lam, nu2 = _terms(spectrum_at(rt, r))
+        # 0.6 of the way to each edge of the strip 1/(2 lam_min) < s < 1/(2 lam_max)
+        lo = max(0.3 / lam[0], -20.0) if lam[0] < 0 else -20.0
+        hi = min(0.3 / lam[-1], 20.0) if lam[-1] > 0 else 20.0
         s = float(local.uniform(lo, hi))
         h = 1e-6 * (hi - lo)
-        ce = cgf(sp, s)
-        k1_fd = (cgf(sp, s + h).K - cgf(sp, s - h).K) / (2 * h)
-        k2_fd = (cgf(sp, s + h).K1 - cgf(sp, s - h).K1) / (2 * h)
-        k3_fd = (cgf(sp, s + h).K2 - cgf(sp, s - h).K2) / (2 * h)
-        assert ce.K1 == pytest.approx(k1_fd, rel=1e-6, abs=1e-9)
-        assert ce.K2 == pytest.approx(k2_fd, rel=1e-6, abs=1e-9)
-        assert ce.K3 == pytest.approx(k3_fd, rel=1e-6, abs=1e-9)
+        K = cumulant_sums(lam, nu2, np.array([s, s + h, s - h]))
+        for j in range(1, 4):
+            fd = (K[j - 1][1] - K[j - 1][2]) / (2 * h)
+            assert K[j][0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,10 +71,11 @@ def test_convexity_and_root(seed):
     r = float(info.l + local.uniform(0.05, 0.95) * (info.r_bar - info.l))
     sp = spectrum_at(rt, r)
     sol = solve_saddlepoint(sp)
-    ce = sol.cgf_at_shat
-    assert ce.K2 > 0.0
-    assert abs(ce.K1) <= 1e-9 * float(np.sum(np.abs(sp.lambdas)))
-    assert sol.u_hat == pytest.approx(sol.s_hat * math.sqrt(ce.K2), rel=1e-12)
+    K, K1, K2 = cumulant_sums(*_terms(sp), sol.s_hat, (0, 1, 2))
+    assert sol.K2 > 0.0
+    assert (sol.K, sol.K2) == pytest.approx((K, K2), rel=1e-13, abs=1e-300)
+    assert abs(K1) <= 1e-9 * float(np.sum(np.abs(sp.lambdas)))
+    assert sol.u_hat == pytest.approx(sol.s_hat * math.sqrt(sol.K2), rel=1e-12)
 
 
 def test_cauchy_saddlepoint_is_r():
@@ -162,6 +149,8 @@ def test_solve_rejects_one_signed_spectrum():
     rt = new_ratio(np.diag([1.0, 2.0]), np.eye(2), np.zeros(2))
     with pytest.raises(UnsupportedInstanceError):
         solve_saddlepoint(spectrum_at(rt, 5.0))
+    with pytest.raises(InvalidInputError):
+        solve_saddlepoint(SpectrumAtR(r=1.0, lambdas=np.zeros(2), P=np.eye(2), nu=np.ones(2)))
 
 
 def test_pdf_positive_and_jacobian_at_mean():
@@ -227,16 +216,36 @@ def test_deep_tail_density_decays_like_r_squared():
     assert np.ptp(scaled) <= 1e-4 * scaled[0]
 
 
-def test_deep_tail_solve_adds_at_most_one_newton_pass(monkeypatch):
+def _count_newton_calls(monkeypatch):
     from qfratio import saddlepoint
 
     calls = []
     newton = saddlepoint.newton_bracketed
     monkeypatch.setattr(saddlepoint, "newton_bracketed",
                         lambda *a, **k: calls.append(1) or newton(*a, **k))
+    return calls
+
+
+def test_deep_tail_solve_adds_at_most_one_newton_pass(monkeypatch):
+    # one pass with the scaled stop test serves body and deep-tail lanes alike
+    calls = _count_newton_calls(monkeypatch)
     rt = ratio_n2(0.2, 2.0)
     pdf_grid(rt, np.linspace(-5.0, 5.0, 41))
-    assert len(calls) == 1  # body points meet the scaled test in the first pass
+    assert len(calls) == 1
     calls.clear()
     pdf_grid(rt, [-1e12, -3.0, 2.0, 1e8])
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_normalized_pdf_solves_each_grid_pass_once(monkeypatch):
+    # tanh-sinh nodes crowd toward |r| -> inf; each batched pass is one solve
+    from qfratio import saddlepoint
+
+    newton_calls = _count_newton_calls(monkeypatch)
+    grid_calls = []
+    grid = saddlepoint._grid
+    monkeypatch.setattr(saddlepoint, "_grid",
+                        lambda *a, **k: grid_calls.append(1) or grid(*a, **k))
+    normalized_pdf(ratio_n2(0.2, 2.0), np.linspace(-10.0, 10.0, 21))
+    assert len(grid_calls) >= 2
+    assert len(newton_calls) == len(grid_calls)
