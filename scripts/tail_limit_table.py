@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print a table of limiting tail relative-error constants.
 
-Covers the closed-form single-eigenvalue limits over a grid of (n, nu0),
-each beside the numerical limit_multiple value for the same edge, the
-noncentral beta family, and the general multiple-eigenvalue limits for a
-few built statistics, so the closed form and the numerical route can be
-compared side by side.
+Covers the closed-form single-eigenvalue limits over a grid of (n, nu0)
+and the noncentral beta family over (n, m, theta), each beside the
+numerical limit_multiple values for the same edge, and the general
+multiple-eigenvalue limits for a few built statistics.  Exits 1 when a
+closed form and its limit_multiple value differ by more than 1e-9
+relative.
 
     PYTHONPATH=src python scripts/tail_limit_table.py
 """
@@ -43,10 +44,21 @@ def main():
     print(f"largest relative gap between the two columns: {worst_gap:.1e}")
 
     print("\nnoncentral beta limits")
-    print(f"{'n':>3} {'m':>3} {'theta':>6} {'RE':>10}")
+    print(f"{'n':>3} {'m':>3} {'theta':>6} {'RE':>10} {'RE_cdf':>10} {'RE_pdf':>10}")
+    beta_gap = 0.0
     for n, m in ((4, 2), (6, 3), (10, 4)):
         for theta in (0.0, 1.0, 4.0):
-            print(f"{n:>3} {m:>3} {theta:>6.1f} {beta_limit(n, m, theta).RE:>10.6f}")
+            ref = beta_limit(n, m, theta).RE
+            # the beta edge: m equal rates, all of the mean along one direction
+            nu0 = np.zeros(m)
+            nu0[0] = math.sqrt(theta)
+            edge = EdgeStructure(side="right", r_edge=math.inf, m=m, nu0=nu0,
+                                 omega=np.ones(m), H_edge=np.eye(m))
+            lim = limit_multiple(n, edge)
+            beta_gap = max(beta_gap, abs(ref / lim.RE_cdf - 1.0), abs(ref / lim.RE_pdf - 1.0))
+            print(f"{n:>3} {m:>3} {theta:>6.1f} {ref:>10.6f} {lim.RE_cdf:>10.6f} {lim.RE_pdf:>10.6f}")
+    print(f"largest relative gap between RE and the limit_multiple columns: {beta_gap:.1e}")
+    worst_gap = max(worst_gap, beta_gap)
 
     print("\ngeneral limits from edge structures")
     instances = {

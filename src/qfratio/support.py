@@ -135,7 +135,8 @@ def support(ratio: QuadFormRatio, tol: Tolerances = DEFAULT_TOL) -> SupportInfo:
     if is_degenerate(ratio, tol) is not None:
         raise UnsupportedInstanceError("degenerate ratio: A = c*B, support is a point")
     bd = decompose_B(ratio, tol)
-    scale_a = _scale_a(ratio)
+    # with p = 0 the C22 and C12 blocks are empty and no zero judgment is made
+    scale_a = _scale_a(ratio) if bd.p else 0.0
     r_bar, case_right = _right_edge(bd, scale_a, 1.0, tol)
     neg_l, case_left = _right_edge(bd, scale_a, -1.0, tol)
     return SupportInfo(

@@ -270,9 +270,9 @@ def _numpy_theta_rho(combo, u):
 
 
 def test_cf_polar_matches_cf_and_numpy_formulas():
-    # the scalar kernel of both inversions: cos(theta) e^(-log rho) at u = 2t
-    # is Re cf(t) (density_at_zero), sin(theta) e^(-log rho) / u is Imhof's
-    # integrand at x = 0; errors are measured against the modulus
+    # Imhof's scalar kernel against the vectorized cf: cos(theta) e^(-log rho)
+    # at u = 2t is Re cf(t), sin(theta) e^(-log rho) / u is Imhof's integrand
+    # at x = 0; errors are measured against the modulus
     rng = rng_for(7301)
     for _ in range(20):
         k = int(rng.integers(1, 9))
@@ -316,13 +316,53 @@ def _convolution_density_at_zero(a, p, b, q):
 
 def test_density_at_zero_rounding_level_weight():
     # the Durbin-Watson n = 20 edge leaves omega = 4.6e-16 where the exact
-    # value is 0; its term must not stretch the quadrature to 50/|w| ~ 3e18
+    # value is 0; its term must not stretch the integration range to 1/|w| ~ 6e16
     tiny, a, b = 1.7554246404372988e-17, 0.6871842709362767, 0.04042260417272218
     for q in (19, 17):
         combo = Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, q, 0.0)))
         exact = _convolution_density_at_zero(a, 1, b, q)
         assert density_at_zero(combo) == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, 19, 0.0))).active_df() == 20.0
+
+
+# Densities at 0 of noncentral combinations by 30-digit mpmath integration of
+# Re cf(t) over t > 0, broken at the damping scales 1/(2|w|):
+#
+#     mp.mp.dps = 30
+#     def re_cf(t):
+#         return mp.re(mp.exp(sum(-mp.mpf(df) / 2 * mp.log(mp.mpc(1, -2 * w * t))
+#                                 + 1j * t * w * nc / mp.mpc(1, -2 * w * t)
+#                                 for w, df, nc in terms)))
+#     scales = sorted(1 / (2 * abs(mp.mpf(w))) for w, _, _ in terms)
+#     points = [0] + scales + [10 * scales[-1], 100 * scales[-1], mp.inf]
+#     value = mp.quad(re_cf, points) / mp.pi
+_NONCENTRAL_DENSITY_AT_ZERO = [
+    # adaptive quad on [0, 50/min|w|] returned 506.2610 here without raising
+    (((0.00016690796643107524, 4, 0.14021387325342824),
+      (-0.0007399886190175692, 1, 0.03836959749501296)), 506.06793679690979),
+    # and raised NumericalError here
+    (((0.005552874602018454, 4, 0.09037133164836474),
+      (-0.00041855350469821985, 1, 0.0)), 2.9155642443398575),
+]
+
+
+@pytest.mark.parametrize("terms, expected", _NONCENTRAL_DENSITY_AT_ZERO)
+def test_density_at_zero_noncentral_matches_mpmath(terms, expected):
+    got = density_at_zero(Chi2Combo(terms))
+    assert type(got) is float
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a, p, b, q", [
+    (0.00011274443970741165, 1, 0.0051045934711402815, 5),  # quad: off by 3.9e-5
+    # the Durbin-Watson n = 20 edge: one trapezoid level at h = 1/4 is off by
+    # 8.7e-10 here, so the value needs the refinement
+    (0.6871842709362767, 1, 0.04042260417272218, 19),
+])
+def test_density_at_zero_central_matches_convolution(a, p, b, q):
+    exact = _convolution_density_at_zero(a, p, b, q)
+    got = density_at_zero(Chi2Combo(((a, p, 0.0), (-b, q, 0.0))))
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_imhof_log_space_raises_no_overflow_warning():

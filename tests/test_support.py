@@ -1,5 +1,6 @@
 """Support endpoints, case classification and edge eigen-structure."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from qfratio import (
+    DEFAULT_TOL,
     UnsupportedInstanceError,
     beta_matrices,
     decompose_B,
@@ -19,6 +21,9 @@ from qfratio import (
     spectrum_at,
     support,
 )
+from qfratio.support import SupportInfo
+
+supp = importlib.import_module("qfratio.support")  # qfratio.support is the function
 
 from conftest import direct_edge_data, random_case1, random_case2b, random_case2c_infinite, rng_for
 
@@ -233,6 +238,29 @@ def test_support_case1_matches_generalized_eigh(n):
         assert info.case_tag == "Case1" and info.in_CR and info.in_CL
         assert info.l == pytest.approx(vals[0], rel=1e-12, abs=1e-12)
         assert info.r_bar == pytest.approx(vals[-1], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, scale_a_calls", [
+    (lambda rng: random_case1(50, rng), 0),
+    (lambda rng: random_case2b(8, rng, p=2), 1),
+])
+def test_support_computes_the_a_scale_only_with_null_directions(monkeypatch, build, scale_a_calls):
+    # the A-scale is a full eigvalsh(A), read only by the zero judgments on the
+    # C22 and C12 blocks, which are empty when p = 0; the result must be the
+    # one computed with the A-scale in hand
+    rt = build(rng_for(7731))
+    bd = decompose_B(rt)
+    scale_a = supp._scale_a(rt)
+    (neg_l, tag_left), (r_bar, tag) = (supp._right_edge(bd, scale_a, s, DEFAULT_TOL)
+                                       for s in (-1.0, 1.0))
+    calls = []
+    inner = supp._scale_a
+    monkeypatch.setattr(supp, "_scale_a", lambda ratio: calls.append(1) or inner(ratio))
+    info = support(rt)
+    assert len(calls) == scale_a_calls
+    tail_cases = supp._RIGHT_TAIL_CASES
+    assert info == SupportInfo(l=-neg_l, r_bar=r_bar, case_tag=tag, in_CR=tag in tail_cases,
+                               in_CL=tag_left in tail_cases, case_tag_left=tag_left)
 
 
 def test_nu0_block_invariance_under_permutation():
