@@ -17,6 +17,7 @@ from .oracle import (
     exact_cdf_n2,
     exact_density_n2,
     imhof_cdf_of_R,
+    imhof_pdf_of_R,
     mc_cdf,
     mc_cdf_grid,
     relative_error_curve,

@@ -262,13 +262,7 @@ def _cmd_figure(args, ratio, tol):
         exact_cdf = lambda r: oracle.exact_cdf_n2(0.2, 2.0, r)
     else:
         exact_cdf = None  # the Imhof inversion oracle
-        h = 1e-4
-
-        def exact_pdf(r):
-            # central difference of the exact CDF stands in for the exact density
-            hi = oracle.imhof_cdf_of_R(ratio, r + h, tol)
-            lo = oracle.imhof_cdf_of_R(ratio, r - h, tol)
-            return (hi - lo) / (2.0 * h)
+        exact_pdf = lambda r: oracle.imhof_pdf_of_R(ratio, r, tol)
 
     info = support_of(ratio, tol)
     dens_grid, tail_grid = _figure_grids(info)

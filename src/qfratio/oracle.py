@@ -1,8 +1,9 @@
 """Ground-truth references for validating the saddlepoint approximations.
 
-Monte-Carlo CDF estimates with a counter-based generator, the exact CDF of R
-through inversion of the chi-square-combination representation, the closed
-form n = 2 density of e2/e1, and the tail error-ratio diagnostic curves.
+Monte-Carlo CDF estimates with a counter-based generator, the exact CDF and
+density of R through inversion of the chi-square-combination representation,
+the closed form n = 2 density of e2/e1, and the tail error-ratio diagnostic
+curves.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import numpy as np
 import scipy.integrate
 
 from .core import DEFAULT_TOL, QuadFormRatio, Tolerances, spectrum_at
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .saddlepoint import cdf_grid, pdf_grid
-from .specfun import Chi2Combo, imhof_cdf
+from .specfun import _NEGLIGIBLE_WEIGHT, Chi2Combo, _log_t_trapezoid, cf, imhof_cdf
 
 _MC_CHUNK = 1 << 18
 
@@ -80,9 +81,52 @@ def mc_cdf(ratio: QuadFormRatio, r: float, n_draws: int = 10**5, seed: int = 0) 
 def imhof_cdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Exact Pr(R <= r) = Pr(X_r <= 0) by inversion of the CF of X_r."""
     spec = spectrum_at(ratio, r, tol)
-    nu2 = np.asarray(spec.nu) ** 2
-    combo = Chi2Combo(tuple((l, 1, v2) for l, v2 in zip(spec.lambdas, nu2)))
-    return imhof_cdf(combo, 0.0, tol=tol.tol_quad)
+    combo = Chi2Combo(tuple((l, 1, v * v) for l, v in zip(spec.lambdas, spec.nu)))
+    return imhof_cdf(combo, tol=tol.tol_quad)
+
+
+def imhof_pdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Exact density f_R(r) = E[e'Be delta(X_r)] by inversion of the CF of X_r.
+
+    f_R(r) = (1/pi) int_0^inf Re[cf(t) J(it)] dt, where
+    J(s) = sum_j H_jj/d_j + m'Hm is E[e'Be e^(s X_r)] / E[e^(s X_r)], with
+    H = P B P', d_j = 1 - 2 s lambda_j and m = nu/d (Geary 1944).  The
+    integral is taken by the log-t trapezoid rule of ``density_at_zero``.
+    A negligible lambda_j (the same cut as ``Chi2Combo.significant_terms``)
+    counts as 0; if the terms it leaves in J carry B mass, J tends to a
+    constant and the integrand decays one power of t slower; if it then
+    does not decay at all, NumericalError.  Past max(100 tol, 1e-6 f) the
+    error bound raises NumericalError too; the value is clamped at 0.
+    """
+    spec = spectrum_at(ratio, r, tol)
+    lam, nu = np.asarray(spec.lambdas), np.asarray(spec.nu)
+    keep = np.abs(lam) > _NEGLIGIBLE_WEIGHT * np.max(np.abs(lam))
+    terms = Chi2Combo(tuple((l, 1, v * v) for l, v in zip(lam[keep], nu[keep])))
+    lam = np.where(keep, lam, 0.0)
+    H = spec.P @ np.asarray(ratio.B) @ spec.P.T
+    h_diag = np.diag(H)
+    flat = ~keep  # d_j = 1: these terms do not decay in J
+    j_zero = np.sum(h_diag) + nu @ H @ nu  # J(0) = E[e'Be]
+    j_flat = np.sum(h_diag[flat]) + nu[flat] @ H[np.ix_(flat, flat)] @ nu[flat]
+    decay = 0.5 * len(terms.terms) - (1.0 if j_flat > _NEGLIGIBLE_WEIGHT * j_zero else 0.0)
+    if decay <= 0.0:
+        raise NumericalError(
+            f"density inversion integral does not converge at r={r}: "
+            f"only {len(terms.terms)} eigenvalues of A - rB are significant"
+        )
+    root_h = np.sqrt(np.maximum(h_diag, 0.0))
+    slope = float(np.sum(h_diag) + (np.abs(nu) @ root_h) ** 2)  # |J(it)| <= slope
+
+    def integrand(t):
+        d = 1.0 - 2.0j * np.multiply.outer(t, lam)
+        m = nu / d
+        J = np.sum(h_diag / d + (m @ H) * m, axis=-1)
+        return cf(terms, t) * J * t
+
+    total, err = _log_t_trapezoid(terms, integrand, decay, slope, tol.tol_quad)
+    if err > max(100.0 * tol.tol_quad, 1e-6 * abs(total)):
+        raise NumericalError(f"imhof_pdf_of_R trapezoid error estimate too large: {err:g}")
+    return max(total / math.pi, 0.0)
 
 
 def exact_density_n2(mu1: float, mu2: float, r: float) -> float:

@@ -3,19 +3,17 @@
 Hosts the confluent hypergeometric 1F1 (one Kummer sum with a log-space
 scale, for every argument), Stirling substitutes for the beta and gamma
 functions, and exact distributional kernels for signed combinations of
-independent noncentral chi-squares: the density at zero and the
-inversion-integral CDF.
+independent noncentral chi-squares: the density at zero and Pr(Q <= 0).
 
-The density at zero is a nested trapezoid rule in x = log t over the
-vectorized characteristic function `cf`, on
-[log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/(df/2 - 1)].  Its integrand
-Re cf(e^x) e^x is analytic in the strip |Im x| < pi/2 and decays
-exponentially at both ends, so the rule converges like exp(-pi^2/h)
-(Trefethen and Weideman, SIAM Review 56, 2014).  Halving h from 1/2 at most
-6 times, it stops once two levels agree to max(tol/10, 1e-13 |S|); the
-stated error is that difference plus a bound on the two truncated ends.
-The CDF is Imhof's integral by adaptive quadrature over a scalar kernel of
-the phase and log modulus, broken at the damping scales 1/|w|.
+Both inversions run on one kernel, a nested trapezoid rule in x = log t
+over the vectorized characteristic function `cf`, on
+[log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/decay].  Their integrands,
+Re cf(e^x) e^x for the density and Im cf(e^x) for Gil-Pelaez's CDF, are
+analytic in the strip |Im x| < pi/2 and decay exponentially at both ends,
+so the rule converges like exp(-pi^2/h) (Trefethen and Weideman, SIAM
+Review 56, 2014).  Halving h from 1/2 at most 6 times, it stops once two
+levels agree to max(tol/10, 1e-13 |S|); the stated error is that difference
+plus a bound on the two truncated ends.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .errors import InvalidInputError, NumericalError
@@ -138,8 +135,8 @@ class Chi2Combo:
         """Terms whose weight is not negligible: |w| > 1e-12 * max|w|.
 
         A rounding-level weight moves the distribution by a rounding-level
-        amount, but its damping scale 1/|w| would stretch the inversion
-        integrals over an interval the quadrature cannot resolve.
+        amount, but its damping scale 1/|w| would stretch the range of the
+        log-t trapezoid rule by up to 28 e-folds for nothing.
         """
         cut = _NEGLIGIBLE_WEIGHT * max(abs(w) for w, _, _ in self.terms)
         return tuple(t for t in self.terms if abs(t[0]) > cut)
@@ -157,47 +154,36 @@ def cf(combo: Chi2Combo, t):
     return np.exp(np.sum(-0.5 * df * np.log(z) + 1.0j * tw * nc / z, axis=-1))
 
 
-def _cf_polar(combo: Chi2Combo):
-    """Scalar kernel u -> (theta, log_rho) with cf(combo, u/2) = exp(i*theta - log_rho).
+def _log_t_trapezoid(terms: Chi2Combo, integrand, decay: float, slope: float, tol: float):
+    """(S, err) for S = int_0^inf Re g(t) dt/t by the trapezoid rule in x = log t.
 
-    These are Imhof's phase (without the -x*u/2 shift) and log modulus:
-    theta = sum_j df_j/2 atan(w_j u) + nc_j/2 w_j u / (1 + w_j^2 u^2) and
-    log_rho = sum_j df_j/4 log1p(w_j^2 u^2) + nc_j/2 w_j^2 u^2 / (1 + w_j^2 u^2),
-    in plain floats over the significant terms.  rho itself is never formed,
-    so it cannot overflow.
+    ``terms`` are the significant terms of a combination; their damping
+    scales 1/(2|w|) set the range.  ``integrand`` maps an array of t to
+    complex g(t), analytic in the strip |Im x| < pi/2; past the largest scale
+    |g| decays like t^(-decay), and below the smallest |g(t)| <= slope * t.
+    The rule runs over [log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/decay],
+    where the integrand has fallen by e^-40 at both ends, starting at h = 1/2
+    and halving h at most 6 times; each level evaluates g only at the new
+    (odd) nodes.  It stops once two levels differ by at most
+    max(tol/10, 1e-13 |S|).  err is that difference plus the two truncated
+    ends: slope * t at the low end node, and |g| / decay at the high one.
     """
-    terms = [(w, 0.5 * df, 0.25 * df, 0.5 * nc) for w, df, nc in combo.significant_terms()]
-    atan, log, log1p, inf = math.atan, math.log, math.log1p, math.inf
-
-    def parts(u):
-        theta = log_rho = 0.0
-        for w, hdf, qdf, hnc in terms:
-            x = w * u
-            x2 = x * x
-            if x2 < inf:
-                q = 1.0 + x2
-                theta += hdf * atan(x) + hnc * x / q
-                log_rho += qdf * log1p(x2) + hnc * x2 / q
-            else:  # |w u| > 1e154: x/(1+x^2) -> 0, x^2/(1+x^2) -> 1
-                theta += hdf * atan(x)
-                log_rho += hdf * log(abs(x)) + hnc
-        return theta, log_rho
-
-    return parts
-
-
-def _scale_breakpoints(combo: Chi2Combo):
-    """Damping scales 1/|w| of the CF factors, one per distinct significant weight.
-
-    A gap wider than 100x between consecutive scales gets decade points, so
-    the quadrature samples the integrand across the whole gap: without them
-    one Gauss-Kronrod panel on, say, [1, 1e5] can miss the mass on [1, 100]
-    and still pass its own error estimate.
-    """
-    scales = sorted({1.0 / abs(w) for w, _, _ in combo.significant_terms()})
-    fill = [lo * 10.0**j for lo, hi in zip(scales, scales[1:]) if hi > 100.0 * lo
-            for j in range(1, int(math.log10(hi / lo)))]
-    return sorted(scales + fill)
+    scales = [0.5 / abs(w) for w, _, _ in terms.terms]
+    lo = math.log(min(scales)) - _LOG_T_MARGIN
+    n = math.ceil((math.log(max(scales)) + _LOG_T_MARGIN / decay - lo) / _TRAPEZOID_H0)
+    h = _TRAPEZOID_H0
+    t = np.exp(lo + h * np.arange(n + 1))
+    g = integrand(t)
+    total = h * float(np.sum(g.real))
+    truncation = slope * t[0] + abs(g[-1]) / decay
+    for _ in range(_TRAPEZOID_HALVINGS):
+        t = np.exp(lo + h * (np.arange(n) + 0.5))
+        refined = 0.5 * total + 0.5 * h * float(np.sum(integrand(t).real))
+        change = abs(refined - total)
+        total, h, n = refined, 0.5 * h, 2 * n
+        if change <= max(tol / 10.0, 1e-13 * abs(total)):
+            break
+    return total, change + truncation
 
 
 def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
@@ -211,18 +197,9 @@ def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
     In x = log t the integrand is Re cf(e^x) e^x, analytic in the strip
     |Im x| < pi/2 (the CF is singular only on the imaginary t axis) and
     decaying exponentially at both ends: like e^x below the smallest damping
-    scale 1/(2 max|w|), and like e^(-(df/2 - 1) x) above the largest,
-    1/(2 min|w|).  On such an integrand the plain trapezoid rule with step h
-    converges like exp(-pi^2 / h), so a few hundred nodes give full double
-    precision.  The rule runs over
-    [log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40 / (df/2 - 1)], where
-    the integrand has fallen by e^-40 at both ends, starting at h = 1/2 and
-    halving h at most 6 times; each level evaluates the CF only at the new
-    (odd) nodes.  It stops once two levels differ by at most
-    max(tol/10, 1e-13 |S|).  The error bound is that difference plus the
-    truncated ends, bounded from the integrand's values at the two end
-    nodes (|cf| <= 1 below, power decay above); past
-    max(100 tol, 1e-6 |S|) it raises NumericalError.
+    scale 1/(2 max|w|) (|cf| <= 1), and like e^(-(df/2 - 1) x) above the
+    largest, 1/(2 min|w|).  ``_log_t_trapezoid`` takes it; past
+    max(100 tol, 1e-6 |S|) its error bound raises NumericalError.
     """
     df_total = combo.active_df()
     if df_total < 3:
@@ -230,89 +207,28 @@ def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
             "characteristic function not integrable: need total df >= 3 on nonzero weights"
         )
     terms = Chi2Combo(combo.significant_terms())
-    scales = [0.5 / abs(w) for w, _, _ in terms.terms]
-    decay = 0.5 * df_total - 1.0  # |cf(t)| t ~ t^(-decay) past the largest scale
-    lo = math.log(min(scales)) - _LOG_T_MARGIN
-    n = math.ceil((math.log(max(scales)) + _LOG_T_MARGIN / decay - lo) / _TRAPEZOID_H0)
-    h = _TRAPEZOID_H0
-    t = np.exp(lo + h * np.arange(n + 1))
-    g = cf(terms, t) * t  # the integrand Re cf(e^x) e^x, with its modulus
-    total = h * float(np.sum(g.real))
-    truncation = abs(g[0]) + abs(g[-1]) / decay
-    for _ in range(_TRAPEZOID_HALVINGS):
-        t = np.exp(lo + h * (np.arange(n) + 0.5))
-        refined = 0.5 * total + 0.5 * h * float(np.sum((cf(terms, t) * t).real))
-        change = abs(refined - total)
-        total, h, n = refined, 0.5 * h, 2 * n
-        if change <= max(tol / 10.0, 1e-13 * abs(total)):
-            break
-    err = change + truncation
+    total, err = _log_t_trapezoid(terms, lambda t: cf(terms, t) * t, 0.5 * df_total - 1.0, 1.0, tol)
     if err > max(100.0 * tol, 1e-6 * abs(total)):
         raise NumericalError(f"density_at_zero trapezoid error estimate too large: {err:g}")
     return total / math.pi
 
 
-def imhof_cdf(combo: Chi2Combo, x: float, tol: float = 1e-10) -> float:
-    """Pr(combination <= x) by the standard inversion integral.
+def imhof_cdf(combo: Chi2Combo, *, tol: float = 1e-10) -> float:
+    """Pr(combination <= 0) by the Gil-Pelaez inversion integral.
 
-    The oscillation-free part is integrated adaptively on [0, T]; for x != 0
-    the residual Fourier tail over (T, inf) is handled by QUADPACK's
-    oscillatory-weight rule.
+    Pr(Q <= 0) = 1/2 - (1/pi) int_0^inf Im cf(t) dt/t, which in x = log t is
+    the integral of Im cf(e^x): analytic in the same strip as the density at
+    zero, bounded by t E|Q| <= t sum_j |w_j| (df_j + nc_j) at the low end and
+    decaying like e^(-(df/2) x) at the high end.  ``_log_t_trapezoid`` takes
+    it; past max(1e3 tol, 1e-6) its error bound raises NumericalError.  The
+    value is clamped to [0, 1].
     """
     if not combo.significant_terms():
         raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
-    parts = _cf_polar(combo)
-    half_x = 0.5 * x
-    # the integrand's limit at u = 0: theta'(0) - x/2, with rho -> 1
-    at_zero = 0.5 * (sum((df + nc) * w for w, df, nc in combo.significant_terms()) - x)
-
-    def integrand(u):
-        if u == 0.0:
-            return at_zero
-        theta, log_rho = parts(u)
-        return math.sin(theta - half_x * u) * math.exp(-log_rho) / u
-
-    scales = _scale_breakpoints(combo)
-    T = 200.0 * scales[-1]
-    if half_x != 0.0:  # x/2 underflows to 0 for the smallest subnormal x
-        # past ten periods of the phase x*u/2 the Fourier rule is cheaper than
-        # resolving each oscillation adaptively
-        T = min(T, 20.0 * math.pi / abs(half_x))
-    main, err1 = scipy.integrate.quad(
-        integrand, 0.0, T, points=scales, epsabs=tol / 10.0, epsrel=1e-13, limit=2000
-    )
-    if abs(x) * T < 1e-6:
-        # x = 0 (or so small the phase x*u is flat over the effective tail):
-        # the remaining phase converges at infinity and the integrand decays
-        # like u^(-1 - total_df/2); a straight tail integral converges
-        tail, err2 = scipy.integrate.quad(
-            integrand, T, np.inf, epsabs=tol / 10.0, epsrel=1e-13, limit=2000
-        )
-    else:
-        # sin(theta(u) - x u / 2) with theta(u) converging at infinity; split
-        # against QUADPACK's oscillatory Fourier rules with frequency |x|/2
-        omega = abs(half_x)
-        sign = 1.0 if x > 0 else -1.0
-
-        def f_sin(u):
-            theta, log_rho = parts(u)
-            return math.sin(theta) * math.exp(-log_rho) / u
-
-        def f_cos(u):
-            theta, log_rho = parts(u)
-            return math.cos(theta) * math.exp(-log_rho) / u
-
-        t1, e1 = scipy.integrate.quad(
-            f_sin, T, np.inf, weight="cos", wvar=omega, limit=2000, epsabs=tol / 10.0
-        )
-        t2, e2 = scipy.integrate.quad(
-            f_cos, T, np.inf, weight="sin", wvar=omega, limit=2000, epsabs=tol / 10.0
-        )
-        tail = t1 - sign * t2
-        err2 = e1 + e2
-    if err1 + err2 > max(1e3 * tol, 1e-6):
-        raise NumericalError(
-            f"imhof_cdf quadrature error estimate too large: {err1 + err2:g}"
-        )
-    value = 0.5 - (main + tail) / math.pi
-    return min(max(value, 0.0), 1.0)
+    terms = Chi2Combo(combo.significant_terms())
+    w, df, nc = terms.arrays()
+    total, err = _log_t_trapezoid(terms, lambda t: -1j * cf(terms, t), 0.5 * float(np.sum(df)),
+                                  float(np.sum(np.abs(w) * (df + nc))), tol)
+    if err > max(1e3 * tol, 1e-6):
+        raise NumericalError(f"imhof_cdf trapezoid error estimate too large: {err:g}")
+    return min(max(0.5 - total / math.pi, 0.0), 1.0)

@@ -13,6 +13,8 @@ from qfratio import (
     beta_matrices,
     cdf_grid,
     edge_structure,
+    exact_density_n2,
+    imhof_pdf_of_R,
     limit_multiple,
     pdf_grid,
     ratio_n2,
@@ -451,5 +453,8 @@ def test_cli_contract(name, verb, fmt, tmp_path, capsys):
         (_, dens), (_, tail) = tables
         _assert_values(dens, "r", grid)
         _assert_values(dens, "approx", [d.value for d in pdf_grid(rt, grid)])
+        exact_pdf = ((lambda r: exact_density_n2(0.2, 2.0, r)) if name == "ratio_n2"
+                     else (lambda r: imhof_pdf_of_R(rt, r)))
+        _assert_values(dens, "exact", [exact_pdf(r) for r in grid])
         tail_r = np.array([_num(rec["r"]) for rec in tail])
         _assert_values(tail, "approx", [a.value for a in cdf_grid(rt, tail_r)])

@@ -9,11 +9,14 @@ import scipy.stats
 
 from qfratio import (
     InvalidInputError,
+    NumericalError,
     beta_matrices,
     cdf,
+    durbin_watson,
     exact_cdf_n2,
     exact_density_n2,
     imhof_cdf_of_R,
+    imhof_pdf_of_R,
     mc_cdf,
     new_ratio,
     ratio_n2,
@@ -85,6 +88,60 @@ def test_imhof_matches_mc_random_instance():
     rt = random_case1(5, rng_for(31))
     est = mc_cdf(rt, 0.3, n_draws=10**6, seed=9)
     assert abs(imhof_cdf_of_R(rt, 0.3) - est.value) <= 4.0 * est.std_error
+
+
+def test_imhof_far_tails_match_exact_integration_n2():
+    # the former quad-based inversion was off by 3.9e-10 at r = -1e3
+    rt = ratio_n2(0.2, 2.0)
+    for r in (-1e5, -1e3, -10.0, 0.5, 1e3, 1e4):
+        assert imhof_cdf_of_R(rt, r) == pytest.approx(exact_cdf_n2(0.2, 2.0, r), abs=1e-14)
+
+
+# Pr(R <= r) on three criterion-11 instances, random_case1(n, rng_for(110000 + seed)),
+# by 30-digit mpmath: 1/2 - (1/pi) int_0^inf Im cf(t)/t dt over the spectrum of
+# A - rB, broken at the damping scales.  The former quad-based inversion was off
+# by 1.4e-12, 9.0e-13 and 3.4e-13 here.
+_C11_MPMATH = [
+    (16, 0.20991145780178488, 0.6018577118378728),
+    (10, 0.08260536165081472, 0.8439116272201364),
+    (2, -0.799189776822265, 1.9701951341744517e-05),
+]
+
+
+@pytest.mark.parametrize("seed, r, expected", _C11_MPMATH)
+def test_imhof_matches_mpmath_random_instance(seed, r, expected):
+    rng = rng_for(110000 + seed)
+    rt = random_case1(int(rng.integers(4, 9)), rng)
+    assert imhof_cdf_of_R(rt, r) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("r", [10.0, -10.0, 1e3, -1e3, 1e5, -1e5])
+def test_imhof_pdf_matches_closed_form_n2(r):
+    expected = exact_density_n2(0.2, 2.0, r)
+    assert imhof_pdf_of_R(ratio_n2(0.2, 2.0), r) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def test_imhof_pdf_central_beta_closed_form():
+    # beta_matrices(6, 2) is Beta(1, 2), density 2 (1 - r)
+    rt = beta_matrices(6, 2)
+    for r in np.concatenate([np.geomspace(1e-6, 0.5, 12), np.linspace(0.5, 0.99, 12)]):
+        assert imhof_pdf_of_R(rt, r) == pytest.approx(2.0 * (1.0 - r), rel=1e-10, abs=0.0)
+    # at r = 1e-13 the four eigenvalues -r of A - rB are negligible: J tends to
+    # the constant 4 and cf of (1 - r) chi2_2 decays only like 1/t, so the
+    # modulus of the integrand does not decay
+    with pytest.raises(NumericalError, match="does not converge"):
+        imhof_pdf_of_R(rt, 1e-13)
+
+
+def test_imhof_pdf_integrates_to_imhof_cdf():
+    # Durbin-Watson keeps two zero eigenvalues of A - rB at every r, in the
+    # null space of B; 32-point Gauss-Legendre over [1.5, 2.5]
+    rt = durbin_watson(20, np.column_stack([np.ones(20), np.arange(20.0)]))
+    x, w = np.polynomial.legendre.leggauss(32)
+    a, b = 1.5, 2.5
+    mass = 0.5 * (b - a) * sum(wi * imhof_pdf_of_R(rt, 0.5 * (b - a) * xi + 0.5 * (a + b))
+                               for xi, wi in zip(x, w))
+    assert mass == pytest.approx(imhof_cdf_of_R(rt, b) - imhof_cdf_of_R(rt, a), abs=1e-12)
 
 
 def test_exact_density_n2_cauchy():

@@ -25,7 +25,7 @@ from qfratio import (
     stirling_beta_hat,
     stirling_gamma_hat,
 )
-from qfratio.specfun import _cf_polar, cf
+from qfratio.specfun import cf
 
 from conftest import rng_for
 
@@ -179,124 +179,81 @@ def test_imhof_all_zero_weights_is_invalid_input():
     # a point mass at 0 has no inversion integral; density_at_zero rejects it too
     combo = Chi2Combo(((0.0, 1, 0.0),))
     with pytest.raises(InvalidInputError):
-        imhof_cdf(combo, 0.5)
+        imhof_cdf(combo)
     with pytest.raises(InvalidInputError):
         density_at_zero(combo)
 
 
+def test_imhof_tol_is_keyword_only():
+    # imhof_cdf is Pr(combo <= 0) only: a stale x argument is never read as tol
+    with pytest.raises(TypeError):
+        imhof_cdf(Chi2Combo(((1.0, 2, 0.0), (-1.0, 2, 0.0))), 0.5)
+
+
 def test_imhof_symmetry():
     combo = Chi2Combo(((1.0, 1, 0.0), (-1.0, 1, 0.0)))
-    assert imhof_cdf(combo, 0.0) == pytest.approx(0.5, abs=1e-9)
+    assert imhof_cdf(combo) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_imhof_chi2_closed_form():
-    combo = Chi2Combo(((1.0, 1, 0.0),))
-    for q in (0.5, 1.0, 4.0):
-        assert imhof_cdf(combo, q) == pytest.approx(
-            float(scipy.stats.chi2.cdf(q, 1)), abs=1e-9
-        )
+    # a chi2_p <= b chi2_q exactly when (chi2_p/p) / (chi2_q/q) <= bq/(ap)
+    for a, p, b, q in [(1.0, 1, 0.5, 1), (1.0, 1, 4.0, 1), (2.0, 3, 0.7, 5), (0.05, 2, 30.0, 7)]:
+        combo = Chi2Combo(((a, p, 0.0), (-b, q, 0.0)))
+        expected = float(scipy.stats.f.cdf(b * q / (a * p), p, q))
+        assert imhof_cdf(combo) == pytest.approx(expected, abs=1e-13)
 
 
 def test_imhof_noncentral_chi2():
-    combo = Chi2Combo(((2.0, 3, 1.5),))
-    for q in (1.0, 5.0, 12.0):
-        assert imhof_cdf(combo, q) == pytest.approx(
-            float(scipy.stats.ncx2.cdf(q / 2.0, 3, 1.5)), abs=1e-8
-        )
+    # the same with a noncentral chi2_p: the noncentral F distribution
+    for a, p, nc, b, q in [(2.0, 3, 1.5, 1.0, 2), (0.3, 1, 6.0, 2.0, 4)]:
+        combo = Chi2Combo(((a, p, nc), (-b, q, 0.0)))
+        expected = float(scipy.stats.ncf.cdf(b * q / (a * p), p, q, nc))
+        assert imhof_cdf(combo) == pytest.approx(expected, abs=1e-10)
 
 
 def test_imhof_mixed_combo_vs_mc():
-    combo = Chi2Combo(((1.0, 2, 0.7), (-0.6, 1, 0.0), (0.3, 4, 2.0)))
     rng = rng_for(5150)
     n = 10**6
-    draws = (
-        rng.noncentral_chisquare(2, 0.7, n)
-        - 0.6 * rng.chisquare(1, n)
-        + 0.3 * rng.noncentral_chisquare(4, 2.0, n)
-    )
-    for x in (-1.0, 0.0, 2.0, 6.0):
-        p_mc = float(np.mean(draws <= x))
+    pos = rng.noncentral_chisquare(2, 0.7, n) + 0.3 * rng.noncentral_chisquare(4, 2.0, n)
+    neg = rng.chisquare(1, n)
+    for c in (0.2, 0.6, 3.0, 12.0):
+        combo = Chi2Combo(((1.0, 2, 0.7), (-c, 1, 0.0), (0.3, 4, 2.0)))
+        p_mc = float(np.mean(pos - c * neg <= 0.0))
         se = math.sqrt(max(p_mc * (1 - p_mc), 1.0 / n) / n)
-        assert abs(imhof_cdf(combo, x) - p_mc) <= 4.0 * se
+        assert abs(imhof_cdf(combo) - p_mc) <= 4.0 * se
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(0.1, 3.0),
     st.floats(0.1, 3.0),
-    st.floats(-4.0, 4.0),
     st.floats(0.05, 2.0),
 )
-@example(w1=1.0, w2=1.0, x=5e-324, dx=1.0)  # x/2 underflows to 0
-def test_imhof_monotone_in_x(w1, w2, x, dx):
-    combo = Chi2Combo(((w1, 2, 0.5), (-w2, 2, 0.0)))
-    assert imhof_cdf(combo, x + dx) >= imhof_cdf(combo, x) - 1e-9
+def test_imhof_monotone_in_weight(w1, b, db):
+    # Pr(w1 X - b Y <= 0) cannot fall as the negative weight grows
+    lower = imhof_cdf(Chi2Combo(((w1, 2, 0.5), (-b, 2, 0.0))))
+    upper = imhof_cdf(Chi2Combo(((w1, 2, 0.5), (-(b + db), 2, 0.0))))
+    assert upper >= lower - 1e-12
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_imhof_limits():
-    combo = Chi2Combo(((1.0, 2, 0.0), (-0.5, 2, 1.0)))
-    assert imhof_cdf(combo, 200.0) == pytest.approx(1.0, abs=1e-8)
-    assert imhof_cdf(combo, -200.0) == pytest.approx(0.0, abs=1e-8)
+    combo = Chi2Combo(((1.0, 2, 0.0), (0.5, 2, 1.0)))
+    assert imhof_cdf(combo) == pytest.approx(0.0, abs=1e-14)
+    negated = Chi2Combo(((-1.0, 2, 0.0), (-0.5, 2, 1.0)))
+    assert imhof_cdf(negated) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("x", [10.0, 40.0])
-def test_imhof_large_x_against_convolution(x):
-    # 0.01*Y + 2*Z with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5): the phase x*u/2
-    # oscillates many times over the damping scale 100 of the small weight
-    combo = Chi2Combo(((0.01, 3, 2.0), (2.0, 1, 0.5)))
+def test_imhof_two_scale_against_convolution():
+    # 0.01*Y - 2*Z with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5): damping scales 50
+    # and 1/4, 200x apart
+    combo = Chi2Combo(((0.01, 3, 2.0), (-2.0, 1, 0.5)))
+
     def joint(y):
-        # density of Y at y times Pr(Z <= (x - 0.01 y) / 2)
-        return (scipy.stats.ncx2.pdf(y, 3, 2.0)
-                * scipy.stats.ncx2.cdf((x - 0.01 * y) / 2.0, 1, 0.5))
+        # density of Y at y times Pr(Z >= 0.005 y)
+        return scipy.stats.ncx2.pdf(y, 3, 2.0) * scipy.stats.ncx2.sf(0.005 * y, 1, 0.5)
 
-    exact, _ = scipy.integrate.quad(joint, 0.0, x / 0.01, points=[5.0, 20.0, 60.0],
-                                    epsabs=1e-13, epsrel=1e-13, limit=500)
-    assert imhof_cdf(combo, x) == pytest.approx(exact, abs=1e-10)
-
-
-def _numpy_theta_rho(combo, u):
-    """The former vectorized Imhof phase (at x = 0) and modulus rho."""
-    w, df, nc = combo.arrays()
-    wu = np.multiply.outer(u, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frac = wu / (1.0 + wu**2)
-        frac2 = wu**2 / (1.0 + wu**2)
-        frac = np.where(np.isfinite(frac), frac, 0.0)
-        frac2 = np.where(np.isfinite(wu**2), frac2, 1.0)
-        rho = np.exp(np.sum(0.25 * df * np.log1p(wu**2) + 0.5 * nc * frac2, axis=-1))
-    theta = 0.5 * np.sum(df * np.arctan(wu) + nc * frac, axis=-1)
-    return theta, rho
-
-
-def test_cf_polar_matches_cf_and_numpy_formulas():
-    # Imhof's scalar kernel against the vectorized cf: cos(theta) e^(-log rho)
-    # at u = 2t is Re cf(t), sin(theta) e^(-log rho) / u is Imhof's integrand
-    # at x = 0; errors are measured against the modulus
-    rng = rng_for(7301)
-    for _ in range(20):
-        k = int(rng.integers(1, 9))
-        w = rng.uniform(0.05, 3.0, k) * rng.choice([-1.0, 1.0], k)
-        df = rng.integers(1, 6, k)
-        nc = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 5.0, k))
-        combo = Chi2Combo(tuple(zip(w, df, nc)))
-        u = 10.0 ** rng.uniform(-4.0, 4.0, 200) / np.median(np.abs(w))
-        u[:3] = (1e-300, 1e155, 1e160)  # underflow and x^2 overflow
-        parts = _cf_polar(combo)
-        got = np.array([parts(float(ui)) for ui in u])
-        theta, log_rho = got[:, 0], got[:, 1]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ref = cf(combo, u / 2.0)
-        mod = np.abs(ref)
-        assert np.allclose(np.exp(-log_rho), mod, rtol=1e-13, atol=0.0)
-        assert np.all(np.abs(np.cos(theta) * np.exp(-log_rho) - ref.real) <= 1e-13 * mod)
-        old_theta, old_rho = _numpy_theta_rho(combo, u)
-        assert np.all(np.abs(theta - old_theta) <= 1e-13 * np.maximum(np.abs(old_theta), 1.0))
-        fin = np.isfinite(old_rho)  # past x^2 overflow the old rho was inf
-        assert np.allclose(np.exp(log_rho[fin]), old_rho[fin], rtol=1e-13, atol=0.0)
-        imhof_new = (np.sin(theta) * np.exp(-log_rho) / u)[fin]
-        imhof_old = (np.sin(old_theta) / (u * old_rho))[fin]
-        assert np.all(np.abs(imhof_new - imhof_old) <= 1e-13 / (u * old_rho)[fin])
+    exact, _ = scipy.integrate.quad(joint, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=500)
+    assert imhof_cdf(combo) == pytest.approx(exact, abs=1e-12)
 
 
 def _convolution_density_at_zero(a, p, b, q):
