@@ -223,9 +223,10 @@ def imhof_cdf(combo: Chi2Combo, *, tol: float = 1e-10) -> float:
     it; past max(1e3 tol, 1e-6) its error bound raises NumericalError.  The
     value is clamped to [0, 1].
     """
-    if not combo.significant_terms():
+    significant = combo.significant_terms()
+    if not significant:
         raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
-    terms = Chi2Combo(combo.significant_terms())
+    terms = Chi2Combo(significant)
     w, df, nc = terms.arrays()
     total, err = _log_t_trapezoid(terms, lambda t: -1j * cf(terms, t), 0.5 * float(np.sum(df)),
                                   float(np.sum(np.abs(w) * (df + nc))), tol)
