@@ -256,6 +256,22 @@ def test_imhof_two_scale_against_convolution():
     assert imhof_cdf(combo) == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [10.0, 40.0])
+def test_imhof_large_x_against_convolution(x):
+    # Pr(0.01*Y + 2*Z <= x*E) with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5) and
+    # E = chi2(2)/2 ~ Exp(1): damping scales 50, 1/4 and 1/(2x), up to 4000x apart
+    combo = Chi2Combo(((0.01, 3, 2.0), (2.0, 1, 0.5), (-0.5 * x, 2, 0.0)))
+    s = 2.0 / x
+    mgf_z = math.exp(-0.5 * s / (1.0 + 2.0 * s)) / math.sqrt(1.0 + 2.0 * s)  # E e^(-s Z)
+
+    def joint(y):
+        # density of Y at y times Pr(x E >= 0.01 y + 2 Z) = E e^(-(0.01 y + 2 Z)/x)
+        return scipy.stats.ncx2.pdf(y, 3, 2.0) * math.exp(-0.01 * y / x) * mgf_z
+
+    exact, _ = scipy.integrate.quad(joint, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=500)
+    assert imhof_cdf(combo) == pytest.approx(exact, abs=1e-12)
+
+
 def _convolution_density_at_zero(a, p, b, q):
     """Density at 0 of a*chi2(p) - b*chi2(q): int f_{a chi2(p)}(y) f_{b chi2(q)}(y) dy."""
     mp = pytest.importorskip("mpmath")
