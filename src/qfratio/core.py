@@ -7,7 +7,10 @@ and eigenvectors of the symmetric pencil A - r*B.  When A and B commute
 (Durbin-Watson, Yule-Walker, the beta family) one joint eigenbasis serves
 every r; otherwise each r takes its own eigen-decomposition.
 
-All objects are immutable after construction and all functions are pure.
+The fields of every object are fixed at construction and the functions have
+no side effects, except that a ``QuadFormRatio`` caches two things derived
+from its fields: ``joint_basis`` and the last pencil chunk the saddlepoint
+layer solved.
 """
 
 from __future__ import annotations
@@ -74,9 +77,12 @@ class QuadFormRatio:
     """The ratio R = e'Ae / e'Be with e ~ N(mu, I_n).
 
     A is symmetric, B symmetric positive semidefinite (both enforced at
-    construction through :func:`new_ratio`).  ``joint_basis`` is the
+    construction through :func:`new_ratio`).  The fields never change; the
+    instance caches two things derived from them.  ``joint_basis`` is the
     eigenbasis that A and B share when they commute, else None; it is
-    computed on first use and kept for the life of the instance.
+    computed on first use and kept for the life of the instance.  The
+    saddlepoint layer keeps the last pencil chunk it solved, with its points
+    and tolerances, so that a cdf and a pdf at the same points solve once.
     """
 
     A: np.ndarray

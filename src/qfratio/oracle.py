@@ -179,7 +179,8 @@ def relative_error_curve(
 
     exact_cdf/exact_pdf are callables r -> value; the exact CDF defaults to
     the inversion-integral oracle.  The approximation is evaluated on the
-    whole grid in one batched call.  Each record carries r, the exact and
+    whole grid in one batched call; with exact_pdf, the density reads the
+    pencil chunk the CDF call solved when the grid fits one chunk.  Each record carries r, the exact and
     approximate CDF values, their ratio (nan where its denominator is 0) and
     s_hat, plus the density ratio when an exact density is supplied.  A grid
     point outside the open support raises InvalidInputError.

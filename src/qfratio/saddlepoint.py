@@ -9,12 +9,18 @@ found by one safeguarded Newton pass bracketed by the strip and stopped at
 the rounding scale of K' itself.  ``cdf_grid``/``pdf_grid`` evaluate a whole
 grid at once on stacked spectra, one Newton lane per point; ``cdf``/``pdf``
 are their one-point case, and ``solve_saddlepoint`` solves one spectrum.
+
+The ratio keeps the last chunk of points it solved (spectra, boundary sides
+and saddlepoints).  A cdf and a pdf request at the same points, on an equal
+``tol`` and within one chunk of ``pencil_eigh``, pay one pass: the second
+request only assembles its values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
@@ -190,17 +196,48 @@ def _lr_value(w, u, lam, nu2, tol: Tolerances):
     return value, np.where(aw < th, "mean", "regular")
 
 
-def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -> tuple:
-    """Arrays over rs: value, branch, s_hat, w_hat, u_hat; with ``density``, J after branch.
+class _Chunk(NamedTuple):
+    """One solved ``pencil_eigh`` chunk: ``side`` per lane, the rest per interior lane.
 
-    ``info`` is the support of ``ratio`` when the caller has it; otherwise it
-    is computed at most once, and only if a point is flagged near an edge.
+    ``side`` is 0.0/1.0 where r is at or beyond an edge of the support and
+    nan inside it; the interior lanes keep the spectrum (lam, nu, nu^2 and
+    h or P, as ``pencil_eigh`` gives them) and the saddlepoint solve (s_hat,
+    K, K'', w_hat, u_hat).
     """
-    rs = np.asarray(rs, dtype=float).reshape(-1)
-    B = np.asarray(ratio.B)
-    value = np.zeros(rs.shape)
-    branch = np.full(rs.shape, "boundary", dtype=object)
-    s, w, u, J = np.full((4,) + rs.shape, math.nan)
+
+    side: np.ndarray
+    lam: np.ndarray
+    nu: np.ndarray
+    nu2: np.ndarray
+    h: np.ndarray | None
+    P: np.ndarray | None
+    s: np.ndarray
+    K: np.ndarray
+    K2: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+
+
+# where a ratio keeps the last chunk _solved_chunks solved, as one tuple
+# ((bytes of the chunk's points, tol), _Chunk)
+_LAST_CHUNK = "_last_solved_chunk"
+
+
+def _solved_chunks(ratio: QuadFormRatio, rs: np.ndarray, tol: Tolerances, info=None):
+    """Yield ``(start, _Chunk)`` for each ``pencil_eigh`` chunk of ``rs``.
+
+    The last chunk solved is kept on ``ratio``.  A request for exactly its
+    points, on an equal ``tol``, reads it back and decomposes, tests and
+    solves nothing: a cdf and a pdf at the same points pay one pass.  The
+    entry is written as one tuple of read-only arrays, so threads sharing a
+    ratio see the old entry or the new one whole.  ``info`` is the support
+    of ``ratio`` when the caller has it; otherwise it is computed at most
+    once, and only if a point is flagged near an edge.
+    """
+    last = ratio.__dict__.get(_LAST_CHUNK)
+    if last is not None and last[0] == (rs.tobytes(), tol):
+        yield 0, last[1]
+        return
 
     def support_of():
         nonlocal info
@@ -209,39 +246,57 @@ def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -
         return info
 
     for start, lam, nu, h, P in pencil_eigh(ratio, rs):
-        at = slice(start, start + lam.shape[0])
-        side = _boundary_side(lam, rs[at], support_of)
+        points = rs[start : start + lam.shape[0]]
+        side = _boundary_side(lam, points, support_of)
         interior = np.isnan(side)
-        if not density:
-            value[at] = side
-        if not interior.any():
-            continue
-        # idx addresses this chunk's interior lanes in the output arrays; a
-        # basic slice gives views, not copies, when every lane is interior
-        if interior.all():
-            idx = at
-        else:
-            idx = np.arange(start, start + lam.shape[0])[interior]
+        # every lane interior: keep pencil_eigh's arrays rather than copies
+        if not interior.all():
             lam, nu, h, P = (None if v is None else v[interior] for v in (lam, nu, h, P))
         nu2 = nu * nu
-        s_i, K, K2, w[idx], u[idx] = _solve(lam, nu2, tol)
-        s[idx] = s_i
+        solved = _solve(lam, nu2, tol) if interior.any() else np.empty((5, 0))
+        chunk = _Chunk(side, lam, nu, nu2, h, P, *solved)
+        for v in chunk:
+            if v is not None:
+                v.setflags(write=False)
+        ratio.__dict__[_LAST_CHUNK] = ((points.tobytes(), tol), chunk)
+        yield start, chunk
+
+
+def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -> tuple:
+    """Arrays over rs: value, branch, s_hat, w_hat, u_hat; with ``density``, J after branch.
+
+    Both are assembled from ``_solved_chunks`` (which takes ``info``):
+    Lugannani-Rice for the CDF; for the density, J and then
+    exp(log J + K - log(2 pi K'')/2), so J is computed only for a density.
+    """
+    rs = np.asarray(rs, dtype=float).reshape(-1)
+    B = np.asarray(ratio.B)
+    value = np.zeros(rs.shape)
+    branch = np.full(rs.shape, "boundary", dtype=object)
+    s, w, u, J = np.full((4,) + rs.shape, math.nan)
+    for start, c in _solved_chunks(ratio, rs, tol, info):
+        if not density:
+            value[start : start + c.side.shape[0]] = c.side
+        idx = start + np.flatnonzero(np.isnan(c.side))
+        if not idx.size:
+            continue
+        s[idx], w[idx], u[idx] = c.s, c.w, c.u
         if density:
             # J = tr(H D^-1) + x'Hx with H = P B P', D = diag(d), x = nu/d
-            d = 1.0 - 2.0 * s_i[:, None] * lam
-            if P is None:  # commuting pencil: H = diag(h)
-                J_i = (h / d * (1.0 + nu2 / d)).sum(axis=-1)
+            d = 1.0 - 2.0 * c.s[:, None] * c.lam
+            if c.P is None:  # commuting pencil: H = diag(h)
+                J_i = (c.h / d * (1.0 + c.nu2 / d)).sum(axis=-1)
             else:
-                Ptx = ((nu / d)[:, None, :] @ P)[:, 0]
-                J_i = ((((P @ B) * P).sum(axis=-1) / d).sum(axis=-1)
+                Ptx = ((c.nu / d)[:, None, :] @ c.P)[:, 0]
+                J_i = ((((c.P @ B) * c.P).sum(axis=-1) / d).sum(axis=-1)
                        + ((Ptx @ B) * Ptx).sum(axis=-1))
             _raise_first(J_i <= 0.0, lambda i: NumericalError(
                 f"nonpositive Jacobian weight J={J_i[i]:g} at r={rs[idx][i]}"))
             J[idx] = J_i
-            value[idx] = np.exp(np.log(J_i) + K - 0.5 * np.log(2.0 * math.pi * K2))
+            value[idx] = np.exp(np.log(J_i) + c.K - 0.5 * np.log(2.0 * math.pi * c.K2))
             branch[idx] = "regular"
         else:
-            lr, branch[idx] = _lr_value(w[idx], u[idx], lam, nu2, tol)
+            lr, branch[idx] = _lr_value(c.w, c.u, c.lam, c.nu2, tol)
             value[idx] = np.clip(lr, 0.0, 1.0)
     return (value, branch, J, s, w, u) if density else (value, branch, s, w, u)
 
@@ -251,22 +306,37 @@ def _records(kind, cols) -> list:
 
 
 def cdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
-    """First-order Lugannani-Rice approximations of Pr(R <= r), one CdfApprox per r in rs."""
+    """First-order Lugannani-Rice approximations of Pr(R <= r), one CdfApprox per r in rs.
+
+    After a ``pdf_grid`` at the same points and ``tol``, within one chunk,
+    this reads the ratio's solved chunk instead of solving again.
+    """
     return _records(CdfApprox, _grid(ratio, rs, tol, density=False))
 
 
 def pdf_grid(ratio: QuadFormRatio, rs, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Saddlepoint densities of R, assembled in log space, one DensityApprox per r in rs."""
+    """Saddlepoint densities of R, assembled in log space, one DensityApprox per r in rs.
+
+    After a ``cdf_grid`` at the same points and ``tol``, within one chunk,
+    this reads the ratio's solved chunk instead of solving again; only the
+    Jacobian weight J is computed here, and J <= 0 raises NumericalError.
+    """
     return _records(DensityApprox, _grid(ratio, rs, tol, density=True))
 
 
 def cdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> CdfApprox:
-    """First-order Lugannani-Rice approximation of Pr(R <= r)."""
+    """First-order Lugannani-Rice approximation of Pr(R <= r).
+
+    Right after a ``pdf`` at the same r and ``tol``, its solve is reused.
+    """
     return cdf_grid(ratio, [r], tol)[0]
 
 
 def pdf(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> DensityApprox:
-    """Saddlepoint density of R at r, assembled in log space."""
+    """Saddlepoint density of R at r, assembled in log space.
+
+    Right after a ``cdf`` at the same r and ``tol``, its solve is reused.
+    """
     return pdf_grid(ratio, [r], tol)[0]
 
 

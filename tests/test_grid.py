@@ -1,6 +1,9 @@
 """The batched grid path: cdf_grid/pdf_grid against per-point calls and golden values."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from qfratio import (
 from qfratio import core, saddlepoint
 from qfratio.rootfind import newton_bracketed
 
-from conftest import random_case1
+from conftest import random_case1, random_case2b
 
 
 def case1_n50():
@@ -122,6 +125,7 @@ def test_grid_longer_than_one_chunk(name, monkeypatch):
     rt = INSTANCES[name]()
     grid = grid_for(rt)
     whole_c, whole_p = cdf_grid(rt, grid), pdf_grid(rt, grid)
+    rt = INSTANCES[name]()  # a fresh ratio: rt kept the whole grid's solved chunk
     monkeypatch.setattr(core, "_STACK_ELEMENTS", 3 * rt.n**2)  # three points per chunk
     assert len(list(core.pencil_eigh(rt, grid))) == math.ceil(len(grid) / 3)
     for a, b in zip(cdf_grid(rt, grid), whole_c):
@@ -309,3 +313,126 @@ QUAD_MASS = {
 def test_normalized_pdf_mass_against_quad(name):
     make, mass = QUAD_MASS[name]
     assert _mass(make()) == pytest.approx(mass, rel=1e-8, abs=0.0)
+
+
+# -- a cdf and a pdf at the same points share one solved chunk -------------------
+
+
+def _spy(monkeypatch, owner, name):
+    """Record one entry per call of owner.name, then call through."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def _fields(records):
+    """Every field of every record, nan replaced by a marker so that == compares it."""
+    return [tuple("nan" if v != v else v for v in dataclasses.astuple(a)) for a in records]
+
+
+def _cold(rt, fn, grid, tol=Tolerances()):
+    """fn on a fresh copy of rt, which has solved nothing yet."""
+    return _fields(fn(new_ratio(rt.A, rt.B, rt.mu), grid, tol))
+
+
+def test_cdf_then_pdf_at_one_point_solves_once(monkeypatch):
+    rt = random_case1(8, np.random.default_rng([2, 2]))
+    assert rt.joint_basis is None
+    info = support(rt)
+    r = 0.5 * (info.l + info.r_bar)
+    eighs = _spy(monkeypatch, np.linalg, "eigh")
+    newtons = _spy(monkeypatch, saddlepoint, "newton_bracketed")
+    c, d = cdf(rt, r), pdf(rt, r)
+    assert (len(eighs), len(newtons)) == (1, 1)
+    monkeypatch.undo()
+    assert _fields([c]) == _cold(rt, cdf_grid, [r])
+    assert _fields([d]) == _cold(rt, pdf_grid, [r])
+
+
+def test_deep_tail_point_tests_the_support_once(monkeypatch):
+    calls = _spy(monkeypatch, saddlepoint, "support")
+    rt = ratio_n2(0.2, 2.0)
+    cdf(rt, 2e6)
+    pdf(rt, 2e6)
+    assert calls == [1]
+
+
+def _beta62_grid():
+    return np.concatenate([[-0.5, 0.0, 1e-12], np.linspace(0.1, 0.9, 5), [1.0 - 1e-12, 1.0, 1.5]])
+
+
+REUSE = {
+    "ratio_n2": (lambda: ratio_n2(0.2, 2.0),
+                 lambda: np.concatenate([np.linspace(-10.0, 10.0, 21), [-2e6, 2e6]])),
+    "beta62": (lambda: beta_matrices(6, 2), _beta62_grid),
+    "dw20": (dw20, lambda: np.linspace(0.2, 3.8, 13)),
+    "case2b_n6": (lambda: random_case2b(6, np.random.default_rng([2, 6])),
+                  lambda: np.linspace(-20.0, 5.0, 11)),
+}
+ORDERS = [(cdf_grid, pdf_grid), (pdf_grid, cdf_grid), (cdf_grid, pdf_grid, cdf_grid)]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["cdf-pdf", "pdf-cdf", "cdf-pdf-cdf"])
+@pytest.mark.parametrize("name", sorted(REUSE))
+def test_warm_results_equal_cold_ones(name, order):
+    make, grid_of = REUSE[name]
+    rt, grid = make(), grid_of()
+    for fn in order:
+        assert _fields(fn(rt, grid)) == _cold(rt, fn, grid)
+    if name == "beta62":  # the grid reaches both boundary sides
+        assert {a.value for a in cdf_grid(rt, grid) if a.branch == "boundary"} == {0.0, 1.0}
+
+
+def test_other_grid_or_tolerance_misses_the_stored_chunk(monkeypatch):
+    rt = random_case1(8, np.random.default_rng([2, 2]))
+    info = support(rt)
+    g1 = np.linspace(info.l, info.r_bar, 9)[1:-1]
+    g2 = g1[:-1]
+    loose = Tolerances().replace(tol_root=1e-11)
+    eighs = _spy(monkeypatch, np.linalg, "eigh")
+    cdf_grid(rt, g1)
+    warm = [(pdf_grid, g2, Tolerances()), (pdf_grid, g1, Tolerances()), (cdf_grid, g1, loose)]
+    for fn, grid, tol in warm:
+        before = len(eighs)
+        got = _fields(fn(rt, grid, tol))
+        assert len(eighs) == before + 1
+        assert got == _cold(rt, fn, grid, tol)
+
+
+@pytest.mark.parametrize("order", ORDERS[:2], ids=["cdf-pdf", "pdf-cdf"])
+def test_grid_of_two_chunks_gives_cold_values(order):
+    rt = random_case1(200, np.random.default_rng([2, 200]))
+    info = support(rt)
+    grid = info.l + (info.r_bar - info.l) * np.linspace(0.05, 0.95, 30)
+    assert core._STACK_ELEMENTS // rt.n**2 == 26  # two chunks: 26 points and 4
+    for fn in order:
+        assert _fields(fn(rt, grid)) == _cold(rt, fn, grid)
+
+
+def test_threads_sharing_a_ratio_see_whole_chunks():
+    rt = random_case1(8, np.random.default_rng([2, 2]))
+    info = support(rt)
+    grids = [info.l + (info.r_bar - info.l) * np.linspace(0.1, 0.9, k) for k in (7, 11)]
+    cold = [{fn: _cold(rt, fn, g) for fn in (cdf_grid, pdf_grid)} for g in grids]
+    wrong = []
+
+    def work(t):
+        for i in range(25):
+            k = (t + i) % 2
+            for fn in (cdf_grid, pdf_grid):
+                if _fields(fn(rt, grids[k])) != cold[k][fn]:
+                    wrong.append((t, i, fn.__name__))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []

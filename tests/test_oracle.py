@@ -21,6 +21,7 @@ from qfratio import (
     new_ratio,
     ratio_n2,
     relative_error_curve,
+    support,
 )
 from qfratio import oracle
 from qfratio.oracle import mc_draws
@@ -222,6 +223,26 @@ def test_relative_error_curve_batches_the_grid(monkeypatch):
     for r, rec in zip(grid, records):
         assert rec["r"] == r and rec["exact"] == exact_cdf(r)
         assert rec["approx"] == cdf(rt, r).value and rec["s_hat"] == cdf(rt, r).s_hat
+
+
+def test_relative_error_curve_with_density_decomposes_once(monkeypatch):
+    # cdf_grid and then pdf_grid on one grid: the density reads the solved chunk
+    rt = random_case1(8, rng_for(7))
+    assert rt.joint_basis is None
+    info = support(rt)
+    grid = info.l + (info.r_bar - info.l) * np.linspace(0.05, 0.95, 21)
+    stacked = []
+    eigh = np.linalg.eigh
+
+    def spy(M):
+        if np.ndim(M) == 3:
+            stacked.append(1)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    records = relative_error_curve(rt, grid, exact_cdf=lambda r: 0.5, exact_pdf=lambda r: 1.0)
+    assert len(records) == 21 and all("pdf_ratio" in rec for rec in records)
+    assert stacked == [1]
 
 
 def test_relative_error_curve_nan_where_approximation_rounds_to_one():
