@@ -27,7 +27,7 @@ from .errors import InvalidInputError, NumericalError
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the package.
+    """Numerical tolerances used across the package; the Lugannani-Rice CDF takes none.
 
     Eigenvalue-zero judgments (tol_zero_eig, tol_psd) are relative: they are
     scaled by the largest eigenvalue magnitude of the matrix being judged.
@@ -37,7 +37,6 @@ class Tolerances:
     tol_zero_eig: float = 1e-9
     tol_root: float = 1e-12
     tol_quad: float = 1e-10
-    mean_branch_threshold: float = 1e-5
 
     def __post_init__(self):
         for f in dataclasses.fields(self):

@@ -32,6 +32,7 @@ from .rootfind import newton_bracketed
 from .support import support
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_G_SERIES = (-1.0) ** np.arange(16, 0, -1) / np.arange(18, 2, -1)  # g(z), top power first
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class SaddlepointSolution:
 @dataclass(frozen=True)
 class CdfApprox:
     value: float
-    branch: str  # "regular", "mean" or "boundary"
+    branch: str  # "regular" (Lugannani-Rice) or "boundary"
     s_hat: float
     w_hat: float
     u_hat: float
@@ -97,7 +98,7 @@ def _raise_first(bad: np.ndarray, make) -> None:
 
 
 def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
-    """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'', w_hat, u_hat per lane.
+    """Saddlepoints of a (k, n) stack of spectra: s_hat, K, K'' and ``_lr_terms`` per lane.
 
     One bracketed Newton pass per lane accepts K' at tol_root times the
     rounding scale of K' at s, the smaller of sum |lambda/d| (1 + nu^2/d),
@@ -139,8 +140,27 @@ def _solve(lam: np.ndarray, nu2: np.ndarray, tol: Tolerances):
     s_hat, K, K1, K2, miss = (np.where(last, v[0], v[1]) for v in (s_pair, K, K1, K2, miss))
     _raise_first(miss > tol.tol_root, lambda i: NumericalError(
         f"saddlepoint solve left |K'|={abs(K1[i]):.3e} above tolerance"))
-    w_hat = np.copysign(np.sqrt(np.maximum(-2.0 * K, 0.0)), s_hat)
-    return s_hat, K, K2, w_hat, s_hat * np.sqrt(K2)
+    return (s_hat, K, K2) + _lr_terms(lam, nu2, s_hat, K1, K2)
+
+
+def _lr_terms(lam, nu2, s, K1, K2) -> tuple:
+    """w_hat, u_hat and lr = 1/w_hat - 1/u_hat per lane, by one formula that cancels nothing.
+
+    With y = 2 s lambda, z = y/(1 - y), q = z/s and g = (z - z^2/2 - log1p z)/z^3 (its
+    series for |z| < 0.1), w = s omega and u = s kappa for kappa^2 = K'' and
+    omega^2 = sum q^2 (1/2 + z g + nu^2), and lr = sum q^3 (nu^2 - g)/(kappa omega (kappa
+    + omega)), K'''/(6 K''^(3/2)) at s = 0.  Unlike -2K, w^2 = 2(s K' - K) moves with s.
+    """
+    y = 2.0 * s[:, None] * lam
+    q, z = 2.0 * lam / (1.0 - y), y / (1.0 - y)
+    series = np.abs(z) < 0.1  # where the closed form of g cancels
+    zc = np.where(series, 1.0, z)
+    a = (zc + np.log1p(-y)) / (zc * zc)  # (z - log(1 + z))/z^2 = 1/2 + z g, finite at z = -1
+    g = np.where(series, np.polyval(_G_SERIES, z), (a - 0.5) / zc)
+    a = np.where(series, 0.5 + z * g, a)
+    omega, kappa = np.sqrt((q * q * (a + nu2)).sum(axis=-1)), np.sqrt(K2)
+    lr = (q**3 * (nu2 - g)).sum(axis=-1) / (kappa * omega * (kappa + omega))
+    return s * omega - K1 / omega, s * kappa - K1 / kappa, lr  # first-order step to K' = 0
 
 
 def solve_saddlepoint(
@@ -148,7 +168,7 @@ def solve_saddlepoint(
 ) -> SaddlepointSolution:
     """Unique root of K' in the strip, with the w-hat/u-hat pair and K, K'' there."""
     lam = np.asarray(spectrum.lambdas)[None]
-    s, K, K2, w, u = (float(v[0]) for v in _solve(lam, np.asarray(spectrum.nu)[None] ** 2, tol))
+    s, K, K2, w, u, _ = (float(v[0]) for v in _solve(lam, np.asarray(spectrum.nu)[None] ** 2, tol))
     return SaddlepointSolution(s_hat=s, w_hat=w, u_hat=u, K=K, K2=K2)
 
 
@@ -181,28 +201,13 @@ def _boundary_side(lam: np.ndarray, r: np.ndarray, support_of) -> np.ndarray:
     return np.where(flagged & ~interior, at_edge, np.nan)
 
 
-def _lr_value(w, u, lam, nu2, tol: Tolerances):
-    """Lugannani-Rice values, blended across the mean switch, and their branch tags."""
-    th = tol.mean_branch_threshold
-    aw = np.abs(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = scipy.special.ndtr(w) + np.exp(-0.5 * w * w) / _SQRT_2PI * (1.0 / w - 1.0 / u)
-    near = aw < 3.0 * th
-    if near.any():
-        K2, K3 = cumulant_sums(lam[near], nu2[near], 0.0, (2, 3))
-        mean_val = 0.5 + K3 / (6.0 * _SQRT_2PI * K2**1.5)
-        t = (aw[near] - th) / (2.0 * th)
-        value[near] = np.where(t >= 0.0, (1.0 - t) * mean_val + t * value[near], mean_val)
-    return value, np.where(aw < th, "mean", "regular")
-
-
 class _Chunk(NamedTuple):
     """One solved ``pencil_eigh`` chunk: ``side`` per lane, the rest per interior lane.
 
     ``side`` is 0.0/1.0 where r is at or beyond an edge of the support and
     nan inside it; the interior lanes keep the spectrum (lam, nu, nu^2 and
     h or P, as ``pencil_eigh`` gives them) and the saddlepoint solve (s_hat,
-    K, K'', w_hat, u_hat).
+    K, K'', w_hat, u_hat and the Lugannani-Rice term 1/w_hat - 1/u_hat).
     """
 
     side: np.ndarray
@@ -216,6 +221,7 @@ class _Chunk(NamedTuple):
     K2: np.ndarray
     w: np.ndarray
     u: np.ndarray
+    lr: np.ndarray
 
 
 # where a ratio keeps the last chunk _solved_chunks solved, as one tuple
@@ -253,7 +259,7 @@ def _solved_chunks(ratio: QuadFormRatio, rs: np.ndarray, tol: Tolerances, info=N
         if not interior.all():
             lam, nu, h, P = (None if v is None else v[interior] for v in (lam, nu, h, P))
         nu2 = nu * nu
-        solved = _solve(lam, nu2, tol) if interior.any() else np.empty((5, 0))
+        solved = _solve(lam, nu2, tol) if interior.any() else np.empty((6, 0))
         chunk = _Chunk(side, lam, nu, nu2, h, P, *solved)
         for v in chunk:
             if v is not None:
@@ -294,10 +300,10 @@ def _grid(ratio: QuadFormRatio, rs, tol: Tolerances, density: bool, info=None) -
                 f"nonpositive Jacobian weight J={J_i[i]:g} at r={rs[idx][i]}"))
             J[idx] = J_i
             value[idx] = np.exp(np.log(J_i) + c.K - 0.5 * np.log(2.0 * math.pi * c.K2))
-            branch[idx] = "regular"
         else:
-            lr, branch[idx] = _lr_value(c.w, c.u, c.lam, c.nu2, tol)
-            value[idx] = np.clip(lr, 0.0, 1.0)
+            F = scipy.special.ndtr(c.w) + np.exp(-0.5 * c.w * c.w) / _SQRT_2PI * c.lr
+            value[idx] = np.clip(F, 0.0, 1.0)
+        branch[idx] = "regular"
     return (value, branch, J, s, w, u) if density else (value, branch, s, w, u)
 
 

@@ -66,7 +66,7 @@ def test_cdf_json_records(heavy_tail_problem, capsys):
     assert [rec["r"] for rec in records] == [-1.0, 0.0, 2.0]
     for rec in records:
         assert 0.0 <= rec["value"] <= 1.0
-        assert rec["branch"] in ("regular", "mean", "boundary")
+        assert rec["branch"] in ("regular", "boundary")
 
 
 def test_cdf_csv_parses(heavy_tail_problem, capsys):
@@ -256,7 +256,7 @@ def test_tol_override_round_trip(heavy_tail_problem, capsys):
         "--tol", "tol_quad=1e-8",
     )
     assert code == 0
-    for name in ("bogus", "tol_orth"):
+    for name in ("bogus", "tol_orth", "mean_branch_threshold"):
         code, _, err = run_cli(
             capsys, "cdf", "--problem", heavy_tail_problem, "--points", "1", "--tol", f"{name}=1"
         )

@@ -1,6 +1,7 @@
 """Cumulant sums, saddlepoint solving and the CDF/density approximations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from qfratio import (
     ratio_n2,
     solve_saddlepoint,
     spectrum_at,
+    support,
 )
-from qfratio.saddlepoint import cumulant_sums
+from qfratio.core import pencil_eigh
+from qfratio.saddlepoint import _lr_terms, cumulant_sums
 
 from conftest import random_case1, rng_for
+from test_grid import INSTANCES, mean_and_near_points
 
 
 def _terms(sp):
@@ -115,34 +119,83 @@ def test_deep_tail_points_are_interior(r):
 
 
 def test_cdf_mean_branch_continuity():
-    # the blended switch stays continuous through E[X_r] = 0
-    rt = ratio_n2(0.2, 2.0)
-    sp0 = spectrum_at(rt, 0.0)
-    lam = np.asarray(sp0.lambdas)
-    nu2 = np.asarray(sp0.nu) ** 2
+    # one Lugannani-Rice formula through E[X_r] = 0: F increases across
+    # r_mean, and w_hat/u_hat tends to 1 there as s_hat -> 0
+    for name, make in sorted(INSTANCES.items()):
+        rt = make()
+        r_mean, _ = mean_and_near_points(rt)
+        a = cdf(rt, r_mean)
+        assert a.branch == "regular", name
+        assert cdf(rt, r_mean - 1e-7).value < a.value < cdf(rt, r_mean + 1e-7).value, name
+        assert a.w_hat / a.u_hat == pytest.approx(1.0, rel=0.0, abs=1e-8), name
 
-    # locate r_mean where E[X_r] = 0 by bisection on K'(0)
-    def mean_x(r):
-        s = spectrum_at(rt, float(r))
-        return float(
-            np.sum(np.asarray(s.lambdas) * (1.0 + np.asarray(s.nu) ** 2))
-        )
 
-    lo, hi = -5.0, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_x(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    r_mean = 0.5 * (lo + hi)
-    a = cdf(rt, r_mean)
-    assert a.branch in ("mean", "regular")
-    eps = 1e-7
-    left = cdf(rt, r_mean - eps).value
-    right = cdf(rt, r_mean + eps).value
-    assert abs(right - left) < 1e-4
-    assert left <= a.value + 1e-6 and a.value <= right + 1e-6
+def _mp_lugannani_rice(mp, lam, nu2, s0):
+    """Lugannani-Rice value and w at the root of K', in mpmath, Newton from s0."""
+    terms = [(mp.mpf(float(l)), mp.mpf(float(v))) for l, v in zip(lam, nu2)]
+
+    def K(s, j):  # K^(j)(s), as in cumulant_sums
+        if j == 0:
+            return mp.fsum(-mp.log(1 - 2 * s * l) / 2 + s * l * v / (1 - 2 * s * l)
+                           for l, v in terms)
+        return 2 ** (j - 1) * mp.factorial(j - 1) * mp.fsum(
+            (l / (1 - 2 * s * l)) ** j * (1 + j * v / (1 - 2 * s * l)) for l, v in terms)
+
+    s = mp.mpf(float(s0))
+    for _ in range(50):
+        step = K(s, 1) / K(s, 2)
+        s -= step
+        if abs(step) <= mp.mpf(10) ** -45 * (1 + abs(s)):
+            break
+    w = mp.sign(s) * mp.sqrt(2 * (s * K(s, 1) - K(s, 0)))
+    u = s * mp.sqrt(K(s, 2))
+    return mp.ncdf(w) + mp.npdf(w) * (1 / w - 1 / u), w
+
+
+def test_cdf_near_the_mean_against_mpmath():
+    # 1/w - 1/u carries no cancelled digits as w -> 0: the float value matches
+    # a 50-digit Lugannani-Rice on the same float spectrum
+    mp = pytest.importorskip("mpmath")
+    rt = random_case1(50, rng_for(17))
+    r_mean, r_near = mean_and_near_points(rt)
+    w_per_r = 2e-5 / (r_near - r_mean)  # w_hat ~ (r - r_mean) * w_per_r near the mean
+    for target in (1e-6, 2e-5, 6.3e-4, 6.3e-3, 0.19, -1e-3, -0.1):
+        r = r_mean + target / w_per_r
+        a = cdf(rt, r)
+        assert a.w_hat == pytest.approx(target, rel=0.05)
+        ((_, lam, nu, _, _),) = pencil_eigh(rt, np.array([r]))
+        with mp.workdps(50):
+            F, w = _mp_lugannani_rice(mp, lam[0], nu[0] ** 2, a.s_hat)
+        assert a.value == pytest.approx(float(F), rel=1e-14, abs=0.0), target
+        assert a.w_hat == pytest.approx(float(w), rel=1e-12, abs=1e-15), target
+
+    # at s_hat = 0 exactly the same formula is the mean limit, with no warning
+    ((_, lam, nu, _, _),) = pencil_eigh(rt, np.array([r_mean]))
+    K2, K3 = cumulant_sums(lam, nu**2, 0.0, (2, 3))
+    zero = np.zeros(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, u, lr = _lr_terms(lam, nu**2, zero, zero, K2)
+    assert w[0] == u[0] == 0.0
+    limit = 0.5 + K3[0] / (6.0 * math.sqrt(2.0 * math.pi) * K2[0] ** 1.5)
+    assert 0.5 + lr[0] / math.sqrt(2.0 * math.pi) == pytest.approx(limit, rel=1e-14, abs=0.0)
+
+
+def test_w_hat_steps_to_the_root_of_k1():
+    # unlike -2K, w^2 = 2(s K' - K) moves with s: w_hat takes the first-order
+    # step to the root, so a saddlepoint 1e-9 off it still gives w to rounding
+    mp = pytest.importorskip("mpmath")
+    rt = random_case1(50, rng_for(17))
+    info = support(rt)
+    r = info.l + 0.1 * (info.r_bar - info.l)
+    ((_, lam, nu, _, _),) = pencil_eigh(rt, np.array([r]))
+    s = np.array([cdf(rt, r).s_hat + 1e-9])
+    _, K1, K2 = cumulant_sums(lam, nu**2, s, (0, 1, 2))
+    w = _lr_terms(lam, nu**2, s, K1, K2)[0][0]
+    with mp.workdps(50):
+        w_root = float(_mp_lugannani_rice(mp, lam[0], nu[0] ** 2, s[0])[1])
+    assert w < -1.0
+    assert w == pytest.approx(w_root, rel=1e-13, abs=0.0)
 
 
 def test_solve_rejects_one_signed_spectrum():
