@@ -20,11 +20,14 @@ def newton_bracketed(f, lo, hi, x0=None, f_tol=0.0):
     the value, or value*(g'/g) + value' for a positive g, which steps as
     Newton on value*g.
 
-    Newton steps are taken while they stay inside the lane's current
-    bracket; otherwise the step falls back to bisection.  A lane stops when
-    |f| <= f_tol, after one last Newton step from the accepted point, or when
-    its step collapses to machine precision.  Stopped lanes are frozen by
-    masking, so every call of f sees all lanes.
+    Each evaluated point becomes an end of its lane's bracket, and the lane
+    then tests, in this order: it stops when |f| <= f_tol, after one last
+    Newton step from the accepted point; it stops at x when its Newton step
+    collapses, x - f/slope == x (a converged x is a bracket end, so this
+    test comes before the bracket test); it takes the step when it lies
+    strictly inside the bracket, and else bisects, or stops when no float is
+    left strictly inside.  Stopped lanes are frozen by masking, so every
+    call of f sees all lanes.
 
     Returns the pair (x, x_eval): the final points and the points at which
     f was last evaluated.  They differ only where the last Newton step was
@@ -53,10 +56,13 @@ def newton_bracketed(f, lo, hi, x0=None, f_tol=0.0):
             np.copyto(b, x, where=up)
             np.copyto(a, x, where=~up)
             x_new = x - fx / slope
-            # a step leaving (a, b), as any step with slope <= 0 does, bisects
-            inside = (a < x_new) & (x_new < b)
+            # a collapsed step stays at x, which after a converged step is a
+            # bracket end; any other step leaving (a, b), as any step with
+            # slope <= 0 does, bisects, unless no float is left inside (a, b)
+            inside = (x_new == x) | ((a < x_new) & (x_new < b))
             if not inside.all():
-                x_new = np.where(inside, x_new, 0.5 * (a + b))
+                mid = 0.5 * (a + b)
+                x_new = np.where(inside, x_new, np.where((a < mid) & (mid < b), mid, x))
             # a lane that meets f_tol stays at its evaluated point, so fx and
             # slope keep describing x for every stopped lane
             live &= ~hit & (x_new != x)

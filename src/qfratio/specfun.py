@@ -134,9 +134,9 @@ class Chi2Combo:
     def significant_terms(self) -> tuple:
         """Terms whose weight is not negligible: |w| > 1e-12 * max|w|.
 
-        A rounding-level weight moves the distribution by a rounding-level
-        amount, but its damping scale 1/|w| would stretch the range of the
-        log-t trapezoid rule by up to 28 e-folds for nothing.
+        A tiny weight moves the density at zero by a tiny amount, but its
+        damping scale 1/|w| would stretch the range of the log-t trapezoid
+        rule by up to 28 e-folds for nothing.
         """
         cut = _NEGLIGIBLE_WEIGHT * max(abs(w) for w, _, _ in self.terms)
         return tuple(t for t in self.terms if abs(t[0]) > cut)
@@ -222,8 +222,12 @@ def imhof_cdf(combo: Chi2Combo, *, tol: float = 1e-10) -> float:
     decaying like e^(-(df/2) x) at the high end.  ``_log_t_trapezoid`` takes
     it; past max(1e3 tol, 1e-6) its error bound raises NumericalError.  The
     value is clamped to [0, 1].
+
+    Only exactly-zero weights are dropped: a small weight can carry all the
+    mass on one side of 0 (a far tail of a ratio), and it costs the rule
+    only about 2 log(1/|w|) more nodes.
     """
-    significant = combo.significant_terms()
+    significant = tuple(term for term in combo.terms if term[0] != 0.0)
     if not significant:
         raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
     terms = Chi2Combo(significant)

@@ -55,17 +55,26 @@ def limit_simple(n: int, nu0: float) -> BetaLimit:
 def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
     """Unique root in (0, 1/2) of the edge saddlepoint-rate equation.
 
-    The equation is K'(t) = (n - m)/(2t) for the cumulant sums of the edge
-    terms omega, nu0^2; the right side is the central (n - m) block.
+    The equation is K'(t) = c/(2t), c = n - m, for the cumulant sums of the
+    edge terms omega, nu0^2; the right side is the central (n - m) block.
+    Newton starts at the root of the same equation with every omega_i < 1
+    set to 0: the beta t0 with m -> m1 = #{omega_i = 1}, n -> c + m1 and
+    theta -> the sum of nu0_i^2 over those terms.  That start is the root
+    itself when every omega_i is 0 or 1 (the beta family, every m = 1 edge),
+    and Newton still checks its residual.
     """
     m = omega.shape[0]
+    c = n - m
+    ones = omega == 1.0
+    m1 = int(ones.sum())
+    x0 = _beta_t0(c + m1, m1, float(nu0sq[ones].sum()))
 
     def g(t):
         G1, G2 = cumulant_sums(omega, nu0sq, t, (1, 2))
-        return G1 - (n - m) / (2.0 * t), G2 + (n - m) / (2.0 * t**2)
+        return G1 - c / (2.0 * t), G2 + c / (2.0 * t**2)
 
     eps = 1e-12
-    return newton_bracketed(g, eps, 0.5 - eps, x0=0.25)[0]
+    return newton_bracketed(g, eps, 0.5 - eps, x0=x0)[0]
 
 
 def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> TailLimitMultiple:
@@ -135,8 +144,7 @@ def beta_limit(n: int, m: int, theta: float) -> BetaLimit:
         raise InvalidInputError("need min(m, n - m) >= 1")
     if not 0.0 <= theta < math.inf:
         raise InvalidInputError(f"theta must be finite and nonnegative, got {theta}")
-    # the smaller root of the rate equation, in a form free of cancellation
-    t0 = (n - m) / (2.0 * n - m + theta + math.sqrt((theta - m) ** 2 + 4.0 * theta * n))
+    t0 = _beta_t0(n, m, theta)
     one_m = 1.0 - 2.0 * t0
     u0 = math.sqrt(
         (n - m) / 2.0 + 2.0 * t0**2 * (m / one_m**2 + 2.0 * theta / one_m**3)
@@ -153,6 +161,11 @@ def beta_limit(n: int, m: int, theta: float) -> BetaLimit:
         + ln_hyp1f1(n / 2.0, m / 2.0, theta / 2.0)
     )
     return BetaLimit(theta=float(theta), t0=t0, u0=u0, eta2=eta2, RE=math.exp(ln_re))
+
+
+def _beta_t0(n: int, m: int, theta: float) -> float:
+    """The smaller root of the beta rate equation, in a form free of cancellation."""
+    return (n - m) / (2.0 * n - m + theta + math.sqrt((theta - m) ** 2 + 4.0 * theta * n))
 
 
 def central_ratio(a: float, b: float) -> float:

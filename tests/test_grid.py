@@ -156,6 +156,35 @@ def test_newton_lanes_with_value_slope_pairs():
     assert newton_bracketed(lambda x: (x - 0.25, np.ones_like(x)), 0.0, 1.0) == (0.25, 0.25)
 
 
+def test_newton_stops_where_its_step_collapses():
+    # f(0.3) = -1e-20 misses 0, but its step of 1e-20 vanishes against 0.3:
+    # the lane stops there at once instead of bisecting away from the root
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        return (x - 0.3) - 1e-20, np.ones_like(x)
+
+    assert newton_bracketed(f, 0.0, 1.0, x0=0.3, f_tol=0.0) == (0.3, 0.3)
+    assert len(points) == 1
+
+
+def test_newton_stops_when_no_float_is_left_in_its_bracket():
+    # the root lies halfway between two adjacent floats x0 < x1 and each
+    # Newton step jumps to the other one; once both are bracket ends their
+    # midpoint rounds to x0, and the lane stops instead of evaluating it again
+    x0 = float.fromhex("0x1.3333333333334p-2")
+    x1 = np.nextafter(x0, 1.0)
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        return 2.0 * (x - x0) - (x1 - x0), np.ones_like(x)
+
+    assert newton_bracketed(f, 0.0, 1.0, x0=x0) == (x1, x1)
+    assert len(points) == 2
+
+
 def test_newton_returns_the_point_before_an_unchecked_last_step():
     # f = x - c, but lane 0 reports a slope of 0.4 near its root, as a slope
     # lost to rounding would: its accepted point 0.3 has |f| = 0.05 <= f_tol,

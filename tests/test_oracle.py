@@ -76,6 +76,10 @@ def test_imhof_central_beta_closed_form():
     for r in [0.2, 0.5, 0.8] + edges:
         expected = float(scipy.stats.beta.cdf(r, 1.0, 2.0))
         assert imhof_cdf_of_R(rt, r) == pytest.approx(expected, abs=1e-9)
+    # at r = 1e-13 and 1e-15 the four eigenvalues -r of A - rB are below
+    # 1e-12 of 1 - r but carry all the mass below 0
+    assert imhof_cdf_of_R(rt, 1e-13) > 0.0
+    assert imhof_cdf_of_R(rt, 1e-15) > 0.0
 
 
 def test_imhof_matches_exact_integration_n2():
@@ -96,6 +100,18 @@ def test_imhof_far_tails_match_exact_integration_n2():
     rt = ratio_n2(0.2, 2.0)
     for r in (-1e5, -1e3, -10.0, 0.5, 1e3, 1e4):
         assert imhof_cdf_of_R(rt, r) == pytest.approx(exact_cdf_n2(0.2, 2.0, r), abs=1e-14)
+
+
+def test_imhof_keeps_small_weights_in_far_tails_n2():
+    # past |r| = 1e6 the small eigenvalue of A - rB is below 1e-12 of the
+    # large one but carries the whole tail: cutting it gave exact 0 and 1
+    rt = ratio_n2(0.2, 2.0)
+    for r in (-1e6, -1e7):
+        assert imhof_cdf_of_R(rt, r) == pytest.approx(exact_cdf_n2(0.2, 2.0, r), rel=1e-8, abs=0.0)
+    for r in (1e6, 1e7):
+        assert 1.0 - imhof_cdf_of_R(rt, r) == pytest.approx(
+            1.0 - exact_cdf_n2(0.2, 2.0, r), rel=1e-8, abs=0.0
+        )
 
 
 # Pr(R <= r) on three criterion-11 instances, random_case1(n, rng_for(110000 + seed)),

@@ -21,6 +21,7 @@ from qfratio import (
     support,
 )
 from qfratio import tails
+from qfratio.saddlepoint import cumulant_sums
 from qfratio.support import EdgeStructure
 
 from conftest import random_case1, random_case2b, rng_for
@@ -76,10 +77,56 @@ def test_limit_multiple_reduces_to_simple():
 
 
 def test_limit_multiple_t0_in_range():
-    lim = limit_multiple(6, _edge(2, [0.5, 1.0], [0.4, 1.0]))
+    edge = _edge(2, [0.5, 1.0], [0.4, 1.0])
+    lim = limit_multiple(6, edge)
     assert 0.0 < lim.t0 < 0.5
+    # omega = (0.4, 1): the closed-form start is not the root, and Newton
+    # still takes t0 to a root of K'(t) = (n - m)/(2t) at rounding level
+    (G1,) = cumulant_sums(edge.omega, edge.nu0**2, lim.t0, (1,))
+    assert abs(G1 - 4.0 / (2.0 * lim.t0)) <= 4.0 * math.ulp(G1)
     assert lim.W_J > 0.0
     assert lim.RE_cdf > 0.0 and lim.RE_pdf > 0.0
+
+
+def test_solve_t0_is_beta_limit_t0_on_beta_edges():
+    # every omega is 1 on both edges of the beta family, so the start is the
+    # root; the left edge is the central Beta((n - m)/2, m/2)
+    for n, m, mu in ((4, 2, np.zeros(2)), (6, 3, np.array([math.sqrt(2.0), 0.0, 0.0])),
+                     (6, 3, np.array([0.8, -0.5, 0.3])), (10, 4, np.array([0.6, -1.1, 0.2, 0.9]))):
+        rt = beta_matrices(n, m, mu)
+        info = support(rt)
+        for side, closed in (("right", beta_limit(n, m, float(mu @ mu))), ("left", beta_limit(n, n - m, 0.0))):
+            t0 = limit_multiple(n, edge_structure(rt, info, side)).t0
+            assert abs(t0 - closed.t0) <= 2.0 * math.ulp(closed.t0)
+
+
+def test_solve_t0_takes_at_most_two_evaluations_per_edge(monkeypatch):
+    # every omega is 0 or 1 on these edges, so Newton starts at the root and
+    # at most checks one step of an ulp
+    counts = []
+    inner = tails.newton_bracketed
+
+    def counted(f, *args, **kwargs):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+
+        return inner(g, *args, **kwargs)
+
+    monkeypatch.setattr(tails, "newton_bracketed", counted)
+    insts = _golden_instances()
+    insts["durbin_watson"] = durbin_watson(20, np.column_stack([np.ones(20), np.arange(20.0)]))
+    edges = 0
+    for rt in insts.values():
+        info = support(rt)
+        for side, wanted in (("right", info.in_CR), ("left", info.in_CL)):
+            if wanted:
+                limit_multiple(rt.n, edge_structure(rt, info, side))
+                edges += 1
+    assert edges == 13 and len(counts) == edges
+    assert max(counts) <= 2
 
 
 def test_limit_multiple_handles_zero_rate():
