@@ -42,6 +42,7 @@ from .specfun import (
     ln_hyp1f1,
     stirling_beta_hat,
     stirling_gamma_hat,
+    weighted_density_at_zero,
 )
 from .support import (
     BlockDecomp,

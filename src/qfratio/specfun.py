@@ -3,17 +3,18 @@
 Hosts the confluent hypergeometric 1F1 (one Kummer sum with a log-space
 scale, for every argument), Stirling substitutes for the beta and gamma
 functions, and exact distributional kernels for signed combinations of
-independent noncentral chi-squares: the density at zero and Pr(Q <= 0).
+independent noncentral chi-squares: the density at zero, plain and
+weighted by a quadratic Jacobian J, and Pr(Q <= 0).
 
-Both inversions run on one kernel, a nested trapezoid rule in x = log t
+All three inversions run on one kernel, a nested trapezoid rule in x = log t
 over the vectorized characteristic function `cf`, on
 [log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/decay].  Their integrands,
-Re cf(e^x) e^x for the density and Im cf(e^x) for Gil-Pelaez's CDF, are
-analytic in the strip |Im x| < pi/2 and decay exponentially at both ends,
-so the rule converges like exp(-pi^2/h) (Trefethen and Weideman, SIAM
-Review 56, 2014).  Halving h from 1/2 at most 6 times, it stops once two
-levels agree to max(tol/10, 1e-13 |S|); the stated error is that difference
-plus a bound on the two truncated ends.
+Re[cf(e^x) J(i e^x)] e^x for the density (J = 1 unweighted) and Im cf(e^x)
+for Gil-Pelaez's CDF, are analytic in the strip |Im x| < pi/2 and decay
+exponentially at both ends, so the rule converges like exp(-pi^2/h)
+(Trefethen and Weideman, SIAM Review 56, 2014).  Halving h from 1/2 at most
+6 times, it stops once two levels agree to max(tol/10, 1e-13 |S|); the
+stated error is that difference plus a bound on the two truncated ends.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.special
 from .errors import InvalidInputError, NumericalError
 
 _LN_MAX = 700.0  # ~log of the largest double
-_NEGLIGIBLE_WEIGHT = 1e-12  # relative to the largest |weight| of a combination
+_NEGLIGIBLE_WEIGHT = 1e-12  # relative to the largest |weight| of a combination, or to J(0)
 _KUMMER_MAX_TERMS = 1e6  # the sum takes about a + z terms at most, ~0.3 us each
 _LOG_T_MARGIN = 40.0  # e-folds of decay kept past the outermost damping scales
 _TRAPEZOID_H0 = 0.5  # first step of the density-at-zero rule in log t
@@ -210,6 +211,42 @@ def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
     total, err = _log_t_trapezoid(terms, lambda t: cf(terms, t) * t, 0.5 * df_total - 1.0, 1.0, tol)
     if err > max(100.0 * tol, 1e-6 * abs(total)):
         raise NumericalError(f"density_at_zero trapezoid error estimate too large: {err:g}")
+    return total / math.pi
+
+
+def weighted_density_at_zero(w, df, nc, a, nu, H, tol: float = 1e-10) -> float:
+    """E[J delta(Y)] for Y = sum_j w_j chi2(df_j, nc_j), by inversion of its CF.
+
+    The value is (1/pi) int_0^inf Re[cf(t) J(it)] dt for the Jacobian
+    J(s) = sum_j a_j/d_j + m'Hm, d = 1 - 2 s w, m = nu/d and H positive
+    semidefinite (Geary 1944).  Only exactly-zero weights leave the CF; their
+    d_j is 1, so if their part of J passes 1e-12 J(0) the integrand decays one
+    power of t slower, and if it then does not decay, NumericalError.  Below
+    the smallest damping scale |J(it)| <= sum|a_j| + (sum |nu_j| sqrt(H_jj))^2.
+    Past max(100 tol, 1e-6 |S|) the trapezoid error bound raises NumericalError.
+    """
+    w, df, nc, a, nu, H = (np.asarray(x, dtype=float) for x in (w, df, nc, a, nu, H))
+    keep = w != 0.0
+    terms = Chi2Combo(tuple(zip(w[keep], df[keep], nc[keep])))
+    nu_flat = np.where(keep, 0.0, nu)
+    j_flat = a[~keep].sum() + nu_flat @ H @ nu_flat
+    df_total = float(df[keep].sum())
+    decay = 0.5 * df_total - (1.0 if j_flat > _NEGLIGIBLE_WEIGHT * (a.sum() + nu @ H @ nu) else 0.0)
+    if decay <= 0.0:
+        raise NumericalError("density inversion integral does not converge: J tends to a "
+                             f"constant and the CF decays like t^-{0.5 * df_total:g}")
+    slope = float(np.abs(a).sum() + (np.abs(nu) @ np.sqrt(np.maximum(np.diag(H), 0.0))) ** 2)
+    on = (a != 0.0) | (nu != 0.0)  # J has no part from the other terms
+    w, a, nu, H = w[on], a[on], nu[on], H[on][:, on]
+
+    def integrand(t):
+        d = 1.0 - 2.0j * np.multiply.outer(t, w)
+        m = nu / d
+        return cf(terms, t) * np.sum(a / d + (m @ H) * m, axis=-1) * t
+
+    total, err = _log_t_trapezoid(terms, integrand, decay, slope, tol)
+    if err > max(100.0 * tol, 1e-6 * abs(total)):
+        raise NumericalError(f"weighted_density_at_zero trapezoid error estimate too large: {err:g}")
     return total / math.pi
 
 

@@ -2,8 +2,10 @@
 
 Two routes to the same kind of constant: an explicit form for the
 noncentral beta family, whose m = 1 case is the simple vanishing eigenvalue,
-and an implicit form (root of a scalar equation plus a density-at-zero
-operator) for any edge structure, which checks the explicit one.
+and an implicit form for any edge structure, which checks the explicit one:
+the root of a scalar equation and one limiting chi-square combination,
+inverted once for its density at zero (the CDF constant) and once for its
+Jacobian-weighted density at zero (the density constant).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .rootfind import newton_bracketed
 from .saddlepoint import cumulant_sums
-from .specfun import Chi2Combo, density_at_zero, ln_beta, ln_hyp1f1, ln_stirling_beta_hat
+from .specfun import (Chi2Combo, density_at_zero, ln_beta, ln_hyp1f1, ln_stirling_beta_hat,
+                      weighted_density_at_zero)
 from .support import EdgeStructure
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -80,10 +83,11 @@ def _solve_t0(n: int, omega: np.ndarray, nu0sq: np.ndarray) -> float:
 def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> TailLimitMultiple:
     """Limiting relative errors (CDF and density) for a multiple vanishing eigenvalue.
 
-    The CDF constant is sqrt(2*pi) times the density at zero of a signed
-    chi-square combination; the density constant adds Jacobian-weighted terms
-    from the limiting B-block H_edge.  Both are invariant to the scale of
-    H_edge.
+    Both come from Y = sum_i eta1_i chi2_1(2 eta2_i) - chi2_c / (2 u0): the CDF
+    constant is sqrt(2*pi) times its density at zero with c = n - m + 2, the
+    density constant sqrt(2*pi)/W_J times E[J delta(Y)] with c = n - m and
+    J(s) = sum_i H_ii eta3_i/d_i + m'Hm, H = H_edge, d = 1 - 2 s eta1 and
+    m = nu0 eta3/d, so J(0) = W_J.  Both are invariant to the scale of H_edge.
     """
     omega = np.asarray(edge.omega, dtype=float)
     nu0 = np.asarray(edge.nu0, dtype=float)
@@ -91,8 +95,8 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
     m = omega.shape[0]
     if not (1 <= m <= n - 1):
         raise InvalidInputError(f"multiplicity m={m} must satisfy 1 <= m <= n-1")
-    if abs(omega[-1] - 1.0) > 1e-12 or np.any(np.diff(omega) < -1e-12):
-        raise InvalidInputError("omega must be ascending with last entry 1")
+    if abs(omega[-1] - 1.0) > 1e-12 or np.any(np.diff(omega) < -1e-12) or omega[0] < 0.0:
+        raise InvalidInputError("omega must be ascending and nonnegative with last entry 1")
     nu0sq = nu0**2
     t0 = _solve_t0(n, omega, nu0sq)
     d = 1.0 - 2.0 * t0 * omega
@@ -100,41 +104,22 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
     eta1 = t0 * omega / (u0 * d)
     eta2 = nu0sq / (2.0 * d)
     eta3 = 1.0 / d
-    W_J = float(np.sum(np.diag(H) * eta3) + (nu0 * eta3) @ H @ (nu0 * eta3))
+    a, v = np.diag(H) * eta3, nu0 * eta3
+    W_J = float(np.sum(a) + v @ H @ v)
     if W_J <= 0.0:
         raise NumericalError(f"nonpositive Jacobian weight W_J={W_J:g}")
 
-    # zero-weight (omega_i = 0) chi-square terms carry no mass and are dropped
-    base = [(eta1[i], 1, 2.0 * eta2[i]) for i in range(m) if eta1[i] > 0.0]
-    cache: dict = {}
-
-    def d0(extra_idx, df_central):
-        # one quadrature per distinct combination: with equal eta1 entries
-        # (beta family, clusters) every index set shifts the same combination.
-        # density_at_zero depends on the significant terms only.
-        extra = [(eta1[i], 2, 0.0) for i in extra_idx if eta1[i] > 0.0]
-        combo = Chi2Combo(tuple(base + extra + [(-1.0 / (2.0 * u0), df_central, 0.0)]))
-        key = combo.significant_terms()
-        if key not in cache:
-            cache[key] = density_at_zero(combo, tol=quad_tol)
-        return cache[key]
-
-    re_cdf = _SQRT_2PI * d0((), n - m + 2)
-
-    # density limit: diagonal and cross terms, each with its own shifted combo
-    num = 0.0
-    for i in range(m):
-        if H[i, i] != 0.0:
-            num += H[i, i] * eta3[i] * d0((i,), n - m)
-        for j in range(m):
-            hij = H[i, j]
-            if hij == 0.0 or nu0[i] == 0.0 or nu0[j] == 0.0:
-                continue
-            num += nu0[i] * nu0[j] * eta3[i] * eta3[j] * hij * d0(sorted((i, j)), n - m)
-    re_pdf = float(_SQRT_2PI * num / W_J)
+    w = np.append(eta1, -1.0 / (2.0 * u0))
+    nc = np.append(2.0 * eta2, 0.0)
+    ones = np.ones(m)
+    cdf_terms = Chi2Combo(tuple(zip(w, np.append(ones, n - m + 2), nc)))
+    re_cdf = _SQRT_2PI * density_at_zero(cdf_terms, tol=quad_tol)
+    # J / W_J, which is 1 at s = 0, so that quad_tol means what it means for RE_cdf
+    weighted = weighted_density_at_zero(w, np.append(ones, n - m), nc, np.append(a, 0.0) / W_J,
+                                        np.append(v, 0.0), np.pad(H, (0, 1)) / W_J, quad_tol)
     return TailLimitMultiple(
         t0=t0, u0=u0, eta1=eta1, eta2=eta2, eta3=eta3,
-        W_J=W_J, RE_cdf=re_cdf, RE_pdf=re_pdf,
+        W_J=W_J, RE_cdf=re_cdf, RE_pdf=_SQRT_2PI * weighted,
     )
 
 

@@ -168,6 +168,17 @@ def test_oracle_point_outside_support_exit_1(tmp_path, capsys):
         assert json.loads(err)["error"]["type"] == "InvalidInputError"
 
 
+@pytest.mark.parametrize("verb", ["oracle", "figure"])
+def test_seed_outside_key_range_exit_1(heavy_tail_problem, tmp_path, capsys, verb):
+    for seed in ("-1", str(2**128)):
+        code, out, err = run_cli(capsys, verb, "--problem", heavy_tail_problem,
+                                 "--out", str(tmp_path / "out"), "--points", "1",
+                                 "--draws", "1000", "--seed", seed)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError" and "seed" in error["message"]
+
+
 def test_json_shortest_repr_csv_seventeen_digits(heavy_tail_problem, capsys):
     code, out, _ = run_cli(capsys, "cdf", "--problem", heavy_tail_problem, "--points", "0.1")
     assert code == 0

@@ -9,7 +9,6 @@ import scipy.stats
 
 from qfratio import (
     InvalidInputError,
-    NumericalError,
     beta_matrices,
     cdf,
     durbin_watson,
@@ -47,6 +46,16 @@ def test_mc_chunking_invariance():
 def test_mc_draw_floor():
     with pytest.raises(InvalidInputError):
         mc_cdf(ratio_n2(0.0, 0.0), 0.0, n_draws=10)
+
+
+def test_mc_seed_is_a_128_bit_key():
+    rt = ratio_n2(0.2, 2.0)
+    assert mc_draws(rt, 10, seed=2**128 - 1).shape == (10,)
+    for seed in (-1, 2**128):
+        with pytest.raises(InvalidInputError, match="seed"):
+            mc_draws(rt, 10, seed=seed)
+        with pytest.raises(InvalidInputError, match="seed"):
+            mc_cdf(rt, 0.0, n_draws=1000, seed=seed)
 
 
 def test_mc_point_mass_degenerate():
@@ -132,7 +141,7 @@ def test_imhof_matches_mpmath_random_instance(seed, r, expected):
     assert imhof_cdf_of_R(rt, r) == pytest.approx(expected, abs=1e-14)
 
 
-@pytest.mark.parametrize("r", [10.0, -10.0, 1e3, -1e3, 1e5, -1e5])
+@pytest.mark.parametrize("r", [10.0, -10.0, 1e3, -1e3, 1e5, -1e5, 1e6, -1e6])
 def test_imhof_pdf_matches_closed_form_n2(r):
     expected = exact_density_n2(0.2, 2.0, r)
     assert imhof_pdf_of_R(ratio_n2(0.2, 2.0), r) == pytest.approx(expected, rel=1e-10, abs=0.0)
@@ -143,11 +152,9 @@ def test_imhof_pdf_central_beta_closed_form():
     rt = beta_matrices(6, 2)
     for r in np.concatenate([np.geomspace(1e-6, 0.5, 12), np.linspace(0.5, 0.99, 12)]):
         assert imhof_pdf_of_R(rt, r) == pytest.approx(2.0 * (1.0 - r), rel=1e-10, abs=0.0)
-    # at r = 1e-13 the four eigenvalues -r of A - rB are negligible: J tends to
-    # the constant 4 and cf of (1 - r) chi2_2 decays only like 1/t, so the
-    # modulus of the integrand does not decay
-    with pytest.raises(NumericalError, match="does not converge"):
-        imhof_pdf_of_R(rt, 1e-13)
+    # at r = 1e-13 the four eigenvalues -r of A - rB are 1e-13 of the largest:
+    # they are kept, so J decays and the integral converges
+    assert imhof_pdf_of_R(rt, 1e-13) == pytest.approx(2.0 * (1.0 - 1e-13), rel=1e-10, abs=0.0)
 
 
 def test_imhof_pdf_integrates_to_imhof_cdf():

@@ -24,6 +24,7 @@ from qfratio import (
     new_ratio,
     stirling_beta_hat,
     stirling_gamma_hat,
+    weighted_density_at_zero,
 )
 from qfratio.specfun import cf
 
@@ -173,6 +174,23 @@ def test_density_at_zero_normal_difference():
 def test_density_at_zero_integrability_guard():
     with pytest.raises(InvalidInputError):
         density_at_zero(Chi2Combo(((1.0, 1, 0.0), (-1.0, 1, 0.0))))
+
+
+def test_weighted_density_at_zero_is_a_shifted_density():
+    # J(s) = 1/d_0 multiplies cf by the CF of an independent w_0 chi2_2, so
+    # E[J delta(Y)] is the density at zero of Y + w_0 chi2_2
+    got = weighted_density_at_zero([0.5, -0.7], [1, 3], [0.8, 0.0], [1.0, 0.0], [0.0, 0.0],
+                                   np.zeros((2, 2)))
+    expected = density_at_zero(Chi2Combo(((0.5, 1, 0.8), (0.5, 2, 0.0), (-0.7, 3, 0.0))))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_weighted_density_at_zero_constant_jacobian_needs_decay():
+    # the zero weight carries J mass, so J tends to 1 and cf of chi2_2 alone,
+    # like 1/t, leaves an integrand that does not decay
+    with pytest.raises(NumericalError, match="does not converge"):
+        weighted_density_at_zero([1.0, 0.0], [2, 1], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0],
+                                 np.diag([0.0, 1.0]))
 
 
 def test_imhof_all_zero_weights_is_invalid_input():

@@ -7,10 +7,12 @@ import pytest
 import scipy.special
 
 from qfratio import (
+    Chi2Combo,
     InvalidInputError,
     beta_limit,
     beta_matrices,
     central_ratio,
+    density_at_zero,
     durbin_watson,
     edge_structure,
     limit_multiple,
@@ -226,6 +228,14 @@ def test_central_ratio_values():
     assert central_ratio(3.0, 2.0) == pytest.approx(beta_limit(10, 6, 0.0).RE, abs=1e-10)
 
 
+@pytest.mark.parametrize("omega", [[0.5, 0.9], [1.0, 0.5, 1.0], [-0.5, 1.0]])
+def test_limit_multiple_rejects_rates_outside_an_edge(omega):
+    # rates are ascending, nonnegative and scaled to a largest of 1
+    m = len(omega)
+    with pytest.raises(InvalidInputError, match="omega"):
+        limit_multiple(6, _edge(m, np.ones(m), omega))
+
+
 def test_lag2_n3_limits_finite():
     mu = np.array([0.4, -1.2, 0.7])
     rt = ls_serial_corr(3, 2, mu=mu)
@@ -302,21 +312,63 @@ def test_durbin_watson_edge_matches_simple_limit():
         assert lim.RE_pdf == pytest.approx(expected, rel=1e-9)
 
 
-def test_limit_multiple_integrates_each_distinct_combo_once(monkeypatch):
-    # equal eta1 entries: every (i,) and (i, j) shift gives the same combo
-    rt = beta_matrices(10, 4, np.array([0.6, -1.1, 0.2, 0.9]))
-    edge = edge_structure(rt, support(rt), "right")
-    assert edge.m == 4
-    assert np.array_equal(edge.H_edge, np.diag(np.diag(edge.H_edge)))
-    assert np.all(edge.nu0 != 0.0)
+def test_limit_multiple_makes_one_inversion_of_each_kind(monkeypatch):
+    # one density at zero for RE_cdf and one weighted density for RE_pdf per
+    # edge: on a beta edge with four equal rates and on an edge with a zero rate
+    insts = _golden_instances()
     seen = []
-    inner = tails.density_at_zero
 
-    def counted(combo, tol=1e-10):
-        seen.append(combo.terms)
-        return inner(combo, tol=tol)
+    def counted(name):
+        inner = getattr(tails, name)
 
-    monkeypatch.setattr(tails, "density_at_zero", counted)
-    lim = limit_multiple(rt.n, edge)
-    assert len(seen) == len(set(seen)) == 3
-    assert lim.RE_cdf == pytest.approx(_LIMIT_GOLDENS[("beta104", "right")][0], rel=1e-10)
+        def call(*args, **kwargs):
+            seen.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in ("density_at_zero", "weighted_density_at_zero"):
+        monkeypatch.setattr(tails, name, counted(name))
+    for name, side in (("beta104", "right"), ("ls_serial", "right")):
+        rt = insts[name]
+        seen.clear()
+        lim = limit_multiple(rt.n, edge_structure(rt, support(rt), side))
+        assert sorted(seen) == ["density_at_zero", "weighted_density_at_zero"]
+        assert (lim.RE_cdf, lim.RE_pdf) == pytest.approx(_LIMIT_GOLDENS[(name, side)], rel=1e-10)
+
+
+def _shifted_combination_re_pdf(n, edge, lim):
+    """RE_pdf as a sum of densities at zero of shifted combinations.
+
+    With Y the limiting variable at central df n - m, the density constant is
+    sqrt(2 pi)/W_J times sum_i H_ii eta3_i f_(i) plus
+    sum_ij nu0_i nu0_j eta3_i eta3_j H_ij f_(i, j), where f_S is the density
+    at zero of Y plus an independent eta1_i chi2_2 for each index i in S.
+    """
+    m, nu0, H = edge.m, edge.nu0, edge.H_edge
+    base = [(lim.eta1[i], 1, 2.0 * lim.eta2[i]) for i in range(m)]
+
+    def f(*shifts):
+        extra = [(lim.eta1[i], 2, 0.0) for i in shifts]
+        central = [(-1.0 / (2.0 * lim.u0), n - m, 0.0)]
+        return density_at_zero(Chi2Combo(tuple(base + extra + central)))
+
+    num = sum(H[i, i] * lim.eta3[i] * f(i) for i in range(m))
+    num += sum(nu0[i] * nu0[j] * lim.eta3[i] * lim.eta3[j] * H[i, j] * f(i, j)
+               for i in range(m) for j in range(m))
+    return math.sqrt(2.0 * math.pi) * num / lim.W_J
+
+
+@pytest.mark.parametrize("n, omega, nu0", [
+    (5, [0.4, 1.0], [0.8, -1.3]),
+    (7, [0.2, 0.55, 1.0], [1.1, 0.0, -0.6]),
+    (9, [0.1, 0.3, 0.7, 1.0], [0.5, -0.9, 1.4, 0.3]),
+])
+def test_limit_multiple_pdf_matches_shifted_combinations(n, omega, nu0):
+    # no built edge has a non-diagonal H_edge, so no built edge reaches the
+    # cross terms m'Hm; a random PSD H does
+    m = len(omega)
+    X = rng_for(4200 + m).standard_normal((m, m + 1))
+    edge = _edge(m, nu0, omega, H=X @ X.T)
+    lim = limit_multiple(n, edge)
+    expected = _shifted_combination_re_pdf(n, edge, lim)
+    assert lim.RE_pdf == pytest.approx(expected, rel=1e-12, abs=0.0)
