@@ -34,7 +34,6 @@ from .saddlepoint import (
     solve_saddlepoint,
 )
 from .specfun import (
-    Chi2Combo,
     density_at_zero,
     hyp1f1,
     imhof_cdf,

@@ -299,7 +299,7 @@ def pencil_eigh(ratio: QuadFormRatio, rs):
         yield start, lam, P @ ratio.mu, None, P
 
 
-def spectrum_at(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> SpectrumAtR:
+def spectrum_at(ratio: QuadFormRatio, r: float) -> SpectrumAtR:
     """Eigen-decompose A - r*B: ascending eigenvalues, sign-fixed eigenvectors.
 
     A commuting pencil reads them off its joint basis, reordered for r;

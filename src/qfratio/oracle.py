@@ -17,7 +17,7 @@ import scipy.integrate
 from .core import DEFAULT_TOL, QuadFormRatio, Tolerances, spectrum_at
 from .errors import InvalidInputError
 from .saddlepoint import cdf_grid, pdf_grid
-from .specfun import Chi2Combo, imhof_cdf, weighted_density_at_zero
+from .specfun import imhof_cdf, weighted_density_at_zero
 
 _MC_CHUNK = 1 << 18
 
@@ -83,9 +83,8 @@ def mc_cdf(ratio: QuadFormRatio, r: float, n_draws: int = 10**5, seed: int = 0) 
 
 def imhof_cdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Exact Pr(R <= r) = Pr(X_r <= 0) by inversion of the CF of X_r."""
-    spec = spectrum_at(ratio, r, tol)
-    combo = Chi2Combo(tuple((l, 1, v * v) for l, v in zip(spec.lambdas, spec.nu)))
-    return imhof_cdf(combo, tol=tol.tol_quad)
+    spec = spectrum_at(ratio, r)
+    return imhof_cdf(spec.lambdas, np.ones(spec.nu.size), spec.nu * spec.nu, tol=tol.tol_quad)
 
 
 def imhof_pdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -95,7 +94,7 @@ def imhof_pdf_of_R(ratio: QuadFormRatio, r: float, tol: Tolerances = DEFAULT_TOL
     gives the Jacobian of ``weighted_density_at_zero`` with H = P B P' and
     a = diag(H), whose errors this function raises; the value is clamped at 0.
     """
-    spec = spectrum_at(ratio, r, tol)
+    spec = spectrum_at(ratio, r)
     nu = np.asarray(spec.nu)
     H = spec.P @ np.asarray(ratio.B) @ spec.P.T
     f = weighted_density_at_zero(spec.lambdas, np.ones(nu.size), nu * nu, np.diag(H), nu, H,

@@ -6,6 +6,10 @@ functions, and exact distributional kernels for signed combinations of
 independent noncentral chi-squares: the density at zero, plain and
 weighted by a quadratic Jacobian J, and Pr(Q <= 0).
 
+Each inversion takes the combination sum_j w_j chi2(df_j, nc_j) as three
+arrays (w, df, nc), checked once by ``_nonzero_terms``; only exactly-zero
+weights leave the CF, so no small weight is rounded away.
+
 All three inversions run on one kernel, a nested trapezoid rule in x = log t
 over the vectorized characteristic function `cf`, on
 [log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/decay].  Their integrands,
@@ -20,7 +24,6 @@ stated error is that difference plus a bound on the two truncated ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -28,7 +31,7 @@ import scipy.special
 from .errors import InvalidInputError, NumericalError
 
 _LN_MAX = 700.0  # ~log of the largest double
-_NEGLIGIBLE_WEIGHT = 1e-12  # relative to the largest |weight| of a combination, or to J(0)
+_NEGLIGIBLE_WEIGHT = 1e-12  # share of J(0) past which zero-weight terms slow the decay
 _KUMMER_MAX_TERMS = 1e6  # the sum takes about a + z terms at most, ~0.3 us each
 _LOG_T_MARGIN = 40.0  # e-folds of decay kept past the outermost damping scales
 _TRAPEZOID_H0 = 0.5  # first step of the density-at-zero rule in log t
@@ -106,62 +109,45 @@ def stirling_gamma_hat(x: float) -> float:
     return math.exp(ln_val)
 
 
-@dataclass(frozen=True)
-class Chi2Combo:
-    """Signed combination sum_j w_j * chi2(df_j, nc_j) of independent terms."""
+def _nonzero_terms(w, df, nc):
+    """Float arrays (w, df, nc) of the nonzero-weight terms, and their mask.
 
-    terms: tuple  # of (weight, df, noncentrality)
-
-    def __post_init__(self):
-        if not self.terms:
-            raise InvalidInputError("Chi2Combo needs at least one term")
-        clean = []
-        for w, df, nc in self.terms:
-            w, nc = float(w), float(nc)
-            df = int(df)
-            if df < 1:
-                raise InvalidInputError("chi-square degrees of freedom must be >= 1")
-            if nc < 0:
-                raise InvalidInputError("noncentrality must be nonnegative")
-            clean.append((w, df, nc))
-        object.__setattr__(self, "terms", tuple(clean))
-
-    def arrays(self):
-        w = np.array([t[0] for t in self.terms])
-        df = np.array([t[1] for t in self.terms], dtype=float)
-        nc = np.array([t[2] for t in self.terms])
-        return w, df, nc
-
-    def significant_terms(self) -> tuple:
-        """Terms whose weight is not negligible: |w| > 1e-12 * max|w|.
-
-        A tiny weight moves the density at zero by a tiny amount, but its
-        damping scale 1/|w| would stretch the range of the log-t trapezoid
-        rule by up to 28 e-folds for nothing.
-        """
-        cut = _NEGLIGIBLE_WEIGHT * max(abs(w) for w, _, _ in self.terms)
-        return tuple(t for t in self.terms if abs(t[0]) > cut)
-
-    def active_df(self) -> float:
-        """Total degrees of freedom carried by non-negligible-weight terms."""
-        return float(sum(df for _, df, _ in self.significant_terms()))
+    The combination is sum_j w_j chi2(df_j, nc_j) of independent terms, given
+    as three arrays of one matching 1-d shape with at least one term: w and
+    nc finite, nc >= 0 and df a whole number >= 1, else InvalidInputError, as
+    also when every weight is 0 (a point mass at 0 has no inversion
+    integral).  Only exactly-zero weights leave the CF: a small weight can
+    carry all the mass on one side of 0, and it costs the trapezoid rule
+    only about 2 log(1/|w|) more nodes.
+    """
+    w, df, nc = (np.asarray(x, dtype=float) for x in (w, df, nc))
+    if w.ndim != 1 or not w.size or df.shape != w.shape or nc.shape != w.shape:
+        raise InvalidInputError("a chi-square combination needs w, df and nc of one 1-d shape "
+                                f"with at least one term, got {w.shape}, {df.shape}, {nc.shape}")
+    if not np.all(np.isfinite(w) & np.isfinite(nc) & (nc >= 0.0)
+                  & np.isfinite(df) & (df >= 1.0) & (df == np.floor(df))):
+        raise InvalidInputError("chi-square terms need finite w, finite nc >= 0 and whole "
+                                f"df >= 1, got w={w}, df={df}, nc={nc}")
+    keep = w != 0.0
+    if not keep.any():
+        raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
+    return w[keep], df[keep], nc[keep], keep
 
 
-def cf(combo: Chi2Combo, t):
-    """Characteristic function of the combination at real t (vectorized)."""
-    w, df, nc = combo.arrays()
+def cf(w, df, nc, t):
+    """CF of sum_j w_j chi2(df_j, nc_j) at real t (vectorized), for float arrays w, df, nc."""
     tw = np.multiply.outer(np.asarray(t, dtype=float), w)
     z = 1.0 - 2.0j * tw
     return np.exp(np.sum(-0.5 * df * np.log(z) + 1.0j * tw * nc / z, axis=-1))
 
 
-def _log_t_trapezoid(terms: Chi2Combo, integrand, decay: float, slope: float, tol: float):
+def _log_t_trapezoid(w, integrand, decay: float, slope: float, tol: float):
     """(S, err) for S = int_0^inf Re g(t) dt/t by the trapezoid rule in x = log t.
 
-    ``terms`` are the significant terms of a combination; their damping
-    scales 1/(2|w|) set the range.  ``integrand`` maps an array of t to
-    complex g(t), analytic in the strip |Im x| < pi/2; past the largest scale
-    |g| decays like t^(-decay), and below the smallest |g(t)| <= slope * t.
+    ``w`` are the nonzero weights of a combination; their damping scales
+    1/(2|w|) set the range.  ``integrand`` maps an array of t to complex
+    g(t), analytic in the strip |Im x| < pi/2; past the largest scale |g|
+    decays like t^(-decay), and below the smallest |g(t)| <= slope * t.
     The rule runs over [log(1/(2 max|w|)) - 40, log(1/(2 min|w|)) + 40/decay],
     where the integrand has fallen by e^-40 at both ends, starting at h = 1/2
     and halving h at most 6 times; each level evaluates g only at the new
@@ -169,9 +155,9 @@ def _log_t_trapezoid(terms: Chi2Combo, integrand, decay: float, slope: float, to
     max(tol/10, 1e-13 |S|).  err is that difference plus the two truncated
     ends: slope * t at the low end node, and |g| / decay at the high one.
     """
-    scales = [0.5 / abs(w) for w, _, _ in terms.terms]
-    lo = math.log(min(scales)) - _LOG_T_MARGIN
-    n = math.ceil((math.log(max(scales)) + _LOG_T_MARGIN / decay - lo) / _TRAPEZOID_H0)
+    scales = 0.5 / np.abs(w)
+    lo = math.log(scales.min()) - _LOG_T_MARGIN
+    n = math.ceil((math.log(scales.max()) + _LOG_T_MARGIN / decay - lo) / _TRAPEZOID_H0)
     h = _TRAPEZOID_H0
     t = np.exp(lo + h * np.arange(n + 1))
     g = integrand(t)
@@ -187,11 +173,11 @@ def _log_t_trapezoid(terms: Chi2Combo, integrand, decay: float, slope: float, to
     return total, change + truncation
 
 
-def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
-    """Density at 0 of the combination, by inversion of its CF.
+def density_at_zero(w, df, nc, tol: float = 1e-10) -> float:
+    """Density at 0 of sum_j w_j chi2(df_j, nc_j), by inversion of its CF.
 
-    The density is (1/pi) int_0^inf Re cf(t) dt.  Requires total df >= 3
-    over non-negligible-weight terms so that the CF is integrable; 0 lies
+    The density is (1/pi) int_0^inf Re cf(t) dt over the nonzero-weight
+    terms.  Requires their total df >= 3 so that the CF is integrable; 0 lies
     inside the support when the weights have mixed signs (else the value is
     0 to the stated accuracy).
 
@@ -202,13 +188,13 @@ def density_at_zero(combo: Chi2Combo, tol: float = 1e-10) -> float:
     largest, 1/(2 min|w|).  ``_log_t_trapezoid`` takes it; past
     max(100 tol, 1e-6 |S|) its error bound raises NumericalError.
     """
-    df_total = combo.active_df()
+    w, df, nc, _ = _nonzero_terms(w, df, nc)
+    df_total = float(df.sum())
     if df_total < 3:
         raise InvalidInputError(
             "characteristic function not integrable: need total df >= 3 on nonzero weights"
         )
-    terms = Chi2Combo(combo.significant_terms())
-    total, err = _log_t_trapezoid(terms, lambda t: cf(terms, t) * t, 0.5 * df_total - 1.0, 1.0, tol)
+    total, err = _log_t_trapezoid(w, lambda t: cf(w, df, nc, t) * t, 0.5 * df_total - 1.0, 1.0, tol)
     if err > max(100.0 * tol, 1e-6 * abs(total)):
         raise NumericalError(f"density_at_zero trapezoid error estimate too large: {err:g}")
     return total / math.pi
@@ -219,18 +205,17 @@ def weighted_density_at_zero(w, df, nc, a, nu, H, tol: float = 1e-10) -> float:
 
     The value is (1/pi) int_0^inf Re[cf(t) J(it)] dt for the Jacobian
     J(s) = sum_j a_j/d_j + m'Hm, d = 1 - 2 s w, m = nu/d and H positive
-    semidefinite (Geary 1944).  Only exactly-zero weights leave the CF; their
+    semidefinite (Geary 1944).  The zero-weight terms leave the CF; their
     d_j is 1, so if their part of J passes 1e-12 J(0) the integrand decays one
     power of t slower, and if it then does not decay, NumericalError.  Below
     the smallest damping scale |J(it)| <= sum|a_j| + (sum |nu_j| sqrt(H_jj))^2.
     Past max(100 tol, 1e-6 |S|) the trapezoid error bound raises NumericalError.
     """
-    w, df, nc, a, nu, H = (np.asarray(x, dtype=float) for x in (w, df, nc, a, nu, H))
-    keep = w != 0.0
-    terms = Chi2Combo(tuple(zip(w[keep], df[keep], nc[keep])))
+    w_on, df_on, nc_on, keep = _nonzero_terms(w, df, nc)
+    w, a, nu, H = (np.asarray(x, dtype=float) for x in (w, a, nu, H))
     nu_flat = np.where(keep, 0.0, nu)
     j_flat = a[~keep].sum() + nu_flat @ H @ nu_flat
-    df_total = float(df[keep].sum())
+    df_total = float(df_on.sum())
     decay = 0.5 * df_total - (1.0 if j_flat > _NEGLIGIBLE_WEIGHT * (a.sum() + nu @ H @ nu) else 0.0)
     if decay <= 0.0:
         raise NumericalError("density inversion integral does not converge: J tends to a "
@@ -242,34 +227,27 @@ def weighted_density_at_zero(w, df, nc, a, nu, H, tol: float = 1e-10) -> float:
     def integrand(t):
         d = 1.0 - 2.0j * np.multiply.outer(t, w)
         m = nu / d
-        return cf(terms, t) * np.sum(a / d + (m @ H) * m, axis=-1) * t
+        return cf(w_on, df_on, nc_on, t) * np.sum(a / d + (m @ H) * m, axis=-1) * t
 
-    total, err = _log_t_trapezoid(terms, integrand, decay, slope, tol)
+    total, err = _log_t_trapezoid(w_on, integrand, decay, slope, tol)
     if err > max(100.0 * tol, 1e-6 * abs(total)):
         raise NumericalError(f"weighted_density_at_zero trapezoid error estimate too large: {err:g}")
     return total / math.pi
 
 
-def imhof_cdf(combo: Chi2Combo, *, tol: float = 1e-10) -> float:
-    """Pr(combination <= 0) by the Gil-Pelaez inversion integral.
+def imhof_cdf(w, df, nc, *, tol: float = 1e-10) -> float:
+    """Pr(sum_j w_j chi2(df_j, nc_j) <= 0) by the Gil-Pelaez inversion integral.
 
-    Pr(Q <= 0) = 1/2 - (1/pi) int_0^inf Im cf(t) dt/t, which in x = log t is
-    the integral of Im cf(e^x): analytic in the same strip as the density at
-    zero, bounded by t E|Q| <= t sum_j |w_j| (df_j + nc_j) at the low end and
-    decaying like e^(-(df/2) x) at the high end.  ``_log_t_trapezoid`` takes
-    it; past max(1e3 tol, 1e-6) its error bound raises NumericalError.  The
-    value is clamped to [0, 1].
-
-    Only exactly-zero weights are dropped: a small weight can carry all the
-    mass on one side of 0 (a far tail of a ratio), and it costs the rule
-    only about 2 log(1/|w|) more nodes.
+    Pr(Q <= 0) = 1/2 - (1/pi) int_0^inf Im cf(t) dt/t over the nonzero-weight
+    terms, which in x = log t is the integral of Im cf(e^x): analytic in the
+    same strip as the density at zero, bounded by
+    t E|Q| <= t sum_j |w_j| (df_j + nc_j) at the low end and decaying like
+    e^(-(df/2) x) at the high end.  ``_log_t_trapezoid`` takes it; past
+    max(1e3 tol, 1e-6) its error bound raises NumericalError.  The value is
+    clamped to [0, 1].
     """
-    significant = tuple(term for term in combo.terms if term[0] != 0.0)
-    if not significant:
-        raise InvalidInputError("all weights are zero: the combination is a point mass at 0")
-    terms = Chi2Combo(significant)
-    w, df, nc = terms.arrays()
-    total, err = _log_t_trapezoid(terms, lambda t: -1j * cf(terms, t), 0.5 * float(np.sum(df)),
+    w, df, nc, _ = _nonzero_terms(w, df, nc)
+    total, err = _log_t_trapezoid(w, lambda t: -1j * cf(w, df, nc, t), 0.5 * float(np.sum(df)),
                                   float(np.sum(np.abs(w) * (df + nc))), tol)
     if err > max(1e3 * tol, 1e-6):
         raise NumericalError(f"imhof_cdf trapezoid error estimate too large: {err:g}")

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .rootfind import newton_bracketed
 from .saddlepoint import cumulant_sums
-from .specfun import (Chi2Combo, density_at_zero, ln_beta, ln_hyp1f1, ln_stirling_beta_hat,
+from .specfun import (density_at_zero, ln_beta, ln_hyp1f1, ln_stirling_beta_hat,
                       weighted_density_at_zero)
 from .support import EdgeStructure
 
@@ -112,8 +112,7 @@ def limit_multiple(n: int, edge: EdgeStructure, quad_tol: float = 1e-10) -> Tail
     w = np.append(eta1, -1.0 / (2.0 * u0))
     nc = np.append(2.0 * eta2, 0.0)
     ones = np.ones(m)
-    cdf_terms = Chi2Combo(tuple(zip(w, np.append(ones, n - m + 2), nc)))
-    re_cdf = _SQRT_2PI * density_at_zero(cdf_terms, tol=quad_tol)
+    re_cdf = _SQRT_2PI * density_at_zero(w, np.append(ones, n - m + 2), nc, tol=quad_tol)
     # J / W_J, which is 1 at s = 0, so that quad_tol means what it means for RE_cdf
     weighted = weighted_density_at_zero(w, np.append(ones, n - m), nc, np.append(a, 0.0) / W_J,
                                         np.append(v, 0.0), np.pad(H, (0, 1)) / W_J, quad_tol)

@@ -20,7 +20,6 @@ import pytest
 import scipy.special
 
 from qfratio import (
-    Chi2Combo,
     beta_limit,
     beta_matrices,
     cdf,
@@ -253,18 +252,18 @@ def test_criterion_11_oracle_agreement():
 
 
 def test_criterion_12_density_at_zero_operator():
-    laplace = density_at_zero(Chi2Combo(((0.5, 2, 0.0), (-0.5, 2, 0.0))))
+    laplace = density_at_zero([0.5, -0.5], [2, 2], [0.0, 0.0])
     dev_laplace = abs(laplace - 0.5)
     combos = [
-        Chi2Combo(((1.0, 2, 0.5), (-0.7, 3, 0.0))),
-        Chi2Combo(((0.8, 3, 1.0), (-1.2, 2, 0.0), (0.5, 2, 0.0))),
+        ([1.0, -0.7], [2, 3], [0.5, 0.0]),
+        ([0.8, -1.2, 0.5], [3, 2, 2], [1.0, 0.0, 0.0]),
     ]
     worst_sigma = 0.0
     n = 10**7
     for i, combo in enumerate(combos):
         rng = rng_for(120000 + i)
         total = np.zeros(n)
-        for w, df, nc in combo.terms:
+        for w, df, nc in zip(*combo):
             if nc > 0:
                 total += w * rng.noncentral_chisquare(df, nc, n)
             else:
@@ -273,7 +272,7 @@ def test_criterion_12_density_at_zero_operator():
         p = float(np.mean(np.abs(total) <= h))
         est = p / (2.0 * h)
         se = math.sqrt(p * (1.0 - p) / n) / (2.0 * h)
-        worst_sigma = max(worst_sigma, abs(density_at_zero(combo) - est) / se)
+        worst_sigma = max(worst_sigma, abs(density_at_zero(*combo) - est) / se)
     ok = dev_laplace <= 1e-8 and worst_sigma <= 3.0
     _report(12, "density-at-zero: Laplace closed form and MC kernels", ok,
             f"|laplace - 0.5|={dev_laplace:.2e}, max |z| vs kernel={worst_sigma:.2f}")

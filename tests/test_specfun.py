@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfratio import (
-    Chi2Combo,
     InvalidInputError,
     NumericalError,
     density_at_zero,
@@ -134,46 +133,68 @@ def test_stirling_gamma_overflow_is_typed():
             stirling_gamma_hat(x)
 
 
-def test_chi2combo_validation():
+def _weighted_at_zero(w, df, nc):
+    # J(s) = sum_j 1/d_j, no quadratic part
+    shape = np.shape(w)
+    return weighted_density_at_zero(w, df, nc, np.ones(shape), np.zeros(shape), np.zeros(shape * 2))
+
+
+_VALID = ([1.0, -0.5], [2, 3], [0.5, 0.0])
+
+
+@pytest.mark.parametrize("inversion", [density_at_zero, _weighted_at_zero, imhof_cdf],
+                         ids=["density", "weighted", "imhof"])
+@pytest.mark.parametrize("w, df, nc", [
+    pytest.param([], [], [], id="no-term"),
+    pytest.param([1.0], [0], [0.0], id="df-0"),
+    pytest.param([1.0, -0.5], [2.5, 3], [0.5, 0.0], id="df-fractional"),
+    pytest.param([1.0, -0.5], [2, math.inf], [0.5, 0.0], id="df-inf"),
+    pytest.param([1.0, -0.5], [2, math.nan], [0.5, 0.0], id="df-nan"),
+    pytest.param([1.0, -0.5], [2, 3], [-1.0, 0.0], id="nc-negative"),
+    pytest.param([1.0, -0.5], [2, 3], [math.nan, 0.0], id="nc-nan"),
+    pytest.param([1.0, -0.5], [2, 3], [math.inf, 0.0], id="nc-inf"),
+    pytest.param([math.nan, -0.5], [2, 3], [0.5, 0.0], id="w-nan-first"),
+    pytest.param([1.0, math.nan], [3, 3], [0.5, 0.0], id="w-nan-second"),
+    pytest.param([1.0, -math.inf], [2, 3], [0.5, 0.0], id="w-inf"),
+    pytest.param([1.0, -0.5], [2], [0.5, 0.0], id="df-short"),
+    pytest.param([1.0, -0.5], [2, 3], [0.5], id="nc-short"),
+    pytest.param([[1.0, -0.5]], [[2, 3]], [[0.5, 0.0]], id="not-1d"),
+    pytest.param([0.0, 0.0], [2, 3], [0.5, 0.0], id="point-mass"),
+])
+def test_inversions_reject_invalid_terms(inversion, w, df, nc):
+    assert math.isfinite(inversion(*_VALID))
     with pytest.raises(InvalidInputError):
-        Chi2Combo(())
-    with pytest.raises(InvalidInputError):
-        Chi2Combo(((1.0, 0, 0.0),))
-    with pytest.raises(InvalidInputError):
-        Chi2Combo(((1.0, 1, -1.0),))
+        inversion(w, df, nc)
 
 
 def test_cf_at_zero_and_decay():
-    combo = Chi2Combo(((1.0, 2, 1.0), (-0.5, 3, 0.0)))
-    assert cf(combo, 0.0) == pytest.approx(1.0)
-    mags = np.abs(cf(combo, np.array([0.5, 1.0, 2.0, 4.0])))
+    w, df, nc = np.array([1.0, -0.5]), np.array([2.0, 3.0]), np.array([1.0, 0.0])
+    assert cf(w, df, nc, 0.0) == pytest.approx(1.0)
+    mags = np.abs(cf(w, df, nc, np.array([0.5, 1.0, 2.0, 4.0])))
     assert np.all(np.diff(mags) < 0.0)
 
 
 def test_density_at_zero_laplace():
-    combo = Chi2Combo(((0.5, 2, 0.0), (-0.5, 2, 0.0)))
-    assert density_at_zero(combo) == pytest.approx(0.5, abs=1e-8)
+    assert density_at_zero([0.5, -0.5], [2, 2], [0.0, 0.0]) == pytest.approx(0.5, abs=1e-8)
 
 
 def test_density_at_zero_scaling_law():
-    combo = Chi2Combo(((1.0, 2, 0.5), (-0.7, 3, 0.0)))
-    base = density_at_zero(combo)
-    scaled = Chi2Combo(((3.0, 2, 0.5), (-2.1, 3, 0.0)))
-    assert density_at_zero(scaled) == pytest.approx(base / 3.0, rel=1e-8)
+    base = density_at_zero([1.0, -0.7], [2, 3], [0.5, 0.0])
+    scaled = density_at_zero([3.0, -2.1], [2, 3], [0.5, 0.0])
+    assert scaled == pytest.approx(base / 3.0, rel=1e-8)
 
 
 def test_density_at_zero_normal_difference():
     # chi2(1) - chi2(1)' scaled: X = (Z1^2 - Z2^2)/2 = Z1' Z2' has density
     # K0-type singularity, so use df >= 3 combos; difference of gamma(3/2)
-    combo = Chi2Combo(((0.5, 3, 0.0), (-0.5, 3, 0.0)))
     # symmetric variable; compare against Monte Carlo below in test_oracle
-    val = density_at_zero(combo)
+    val = density_at_zero([0.5, -0.5], [3, 3], [0.0, 0.0])
     assert val > 0.0
 
 
 def test_density_at_zero_integrability_guard():
     with pytest.raises(InvalidInputError):
-        density_at_zero(Chi2Combo(((1.0, 1, 0.0), (-1.0, 1, 0.0))))
+        density_at_zero([1.0, -1.0], [1, 1], [0.0, 0.0])
 
 
 def test_weighted_density_at_zero_is_a_shifted_density():
@@ -181,7 +202,7 @@ def test_weighted_density_at_zero_is_a_shifted_density():
     # E[J delta(Y)] is the density at zero of Y + w_0 chi2_2
     got = weighted_density_at_zero([0.5, -0.7], [1, 3], [0.8, 0.0], [1.0, 0.0], [0.0, 0.0],
                                    np.zeros((2, 2)))
-    expected = density_at_zero(Chi2Combo(((0.5, 1, 0.8), (0.5, 2, 0.0), (-0.7, 3, 0.0))))
+    expected = density_at_zero([0.5, 0.5, -0.7], [1, 2, 3], [0.8, 0.0, 0.0])
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -195,38 +216,34 @@ def test_weighted_density_at_zero_constant_jacobian_needs_decay():
 
 def test_imhof_all_zero_weights_is_invalid_input():
     # a point mass at 0 has no inversion integral; density_at_zero rejects it too
-    combo = Chi2Combo(((0.0, 1, 0.0),))
     with pytest.raises(InvalidInputError):
-        imhof_cdf(combo)
+        imhof_cdf([0.0], [1], [0.0])
     with pytest.raises(InvalidInputError):
-        density_at_zero(combo)
+        density_at_zero([0.0], [1], [0.0])
 
 
 def test_imhof_tol_is_keyword_only():
     # imhof_cdf is Pr(combo <= 0) only: a stale x argument is never read as tol
     with pytest.raises(TypeError):
-        imhof_cdf(Chi2Combo(((1.0, 2, 0.0), (-1.0, 2, 0.0))), 0.5)
+        imhof_cdf([1.0, -1.0], [2, 2], [0.0, 0.0], 0.5)
 
 
 def test_imhof_symmetry():
-    combo = Chi2Combo(((1.0, 1, 0.0), (-1.0, 1, 0.0)))
-    assert imhof_cdf(combo) == pytest.approx(0.5, abs=1e-9)
+    assert imhof_cdf([1.0, -1.0], [1, 1], [0.0, 0.0]) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_imhof_chi2_closed_form():
     # a chi2_p <= b chi2_q exactly when (chi2_p/p) / (chi2_q/q) <= bq/(ap)
     for a, p, b, q in [(1.0, 1, 0.5, 1), (1.0, 1, 4.0, 1), (2.0, 3, 0.7, 5), (0.05, 2, 30.0, 7)]:
-        combo = Chi2Combo(((a, p, 0.0), (-b, q, 0.0)))
         expected = float(scipy.stats.f.cdf(b * q / (a * p), p, q))
-        assert imhof_cdf(combo) == pytest.approx(expected, abs=1e-13)
+        assert imhof_cdf([a, -b], [p, q], [0.0, 0.0]) == pytest.approx(expected, abs=1e-13)
 
 
 def test_imhof_noncentral_chi2():
     # the same with a noncentral chi2_p: the noncentral F distribution
     for a, p, nc, b, q in [(2.0, 3, 1.5, 1.0, 2), (0.3, 1, 6.0, 2.0, 4)]:
-        combo = Chi2Combo(((a, p, nc), (-b, q, 0.0)))
         expected = float(scipy.stats.ncf.cdf(b * q / (a * p), p, q, nc))
-        assert imhof_cdf(combo) == pytest.approx(expected, abs=1e-10)
+        assert imhof_cdf([a, -b], [p, q], [nc, 0.0]) == pytest.approx(expected, abs=1e-10)
 
 
 def test_imhof_mixed_combo_vs_mc():
@@ -235,10 +252,9 @@ def test_imhof_mixed_combo_vs_mc():
     pos = rng.noncentral_chisquare(2, 0.7, n) + 0.3 * rng.noncentral_chisquare(4, 2.0, n)
     neg = rng.chisquare(1, n)
     for c in (0.2, 0.6, 3.0, 12.0):
-        combo = Chi2Combo(((1.0, 2, 0.7), (-c, 1, 0.0), (0.3, 4, 2.0)))
         p_mc = float(np.mean(pos - c * neg <= 0.0))
         se = math.sqrt(max(p_mc * (1 - p_mc), 1.0 / n) / n)
-        assert abs(imhof_cdf(combo) - p_mc) <= 4.0 * se
+        assert abs(imhof_cdf([1.0, -c, 0.3], [2, 1, 4], [0.7, 0.0, 2.0]) - p_mc) <= 4.0 * se
 
 
 @settings(max_examples=20, deadline=None)
@@ -249,36 +265,31 @@ def test_imhof_mixed_combo_vs_mc():
 )
 def test_imhof_monotone_in_weight(w1, b, db):
     # Pr(w1 X - b Y <= 0) cannot fall as the negative weight grows
-    lower = imhof_cdf(Chi2Combo(((w1, 2, 0.5), (-b, 2, 0.0))))
-    upper = imhof_cdf(Chi2Combo(((w1, 2, 0.5), (-(b + db), 2, 0.0))))
+    lower = imhof_cdf([w1, -b], [2, 2], [0.5, 0.0])
+    upper = imhof_cdf([w1, -(b + db)], [2, 2], [0.5, 0.0])
     assert upper >= lower - 1e-12
 
 
 def test_imhof_limits():
-    combo = Chi2Combo(((1.0, 2, 0.0), (0.5, 2, 1.0)))
-    assert imhof_cdf(combo) == pytest.approx(0.0, abs=1e-14)
-    negated = Chi2Combo(((-1.0, 2, 0.0), (-0.5, 2, 1.0)))
-    assert imhof_cdf(negated) == pytest.approx(1.0, abs=1e-14)
+    assert imhof_cdf([1.0, 0.5], [2, 2], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-14)
+    assert imhof_cdf([-1.0, -0.5], [2, 2], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_imhof_two_scale_against_convolution():
     # 0.01*Y - 2*Z with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5): damping scales 50
     # and 1/4, 200x apart
-    combo = Chi2Combo(((0.01, 3, 2.0), (-2.0, 1, 0.5)))
-
     def joint(y):
         # density of Y at y times Pr(Z >= 0.005 y)
         return scipy.stats.ncx2.pdf(y, 3, 2.0) * scipy.stats.ncx2.sf(0.005 * y, 1, 0.5)
 
     exact, _ = scipy.integrate.quad(joint, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=500)
-    assert imhof_cdf(combo) == pytest.approx(exact, abs=1e-12)
+    assert imhof_cdf([0.01, -2.0], [3, 1], [2.0, 0.5]) == pytest.approx(exact, abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [10.0, 40.0])
 def test_imhof_large_x_against_convolution(x):
     # Pr(0.01*Y + 2*Z <= x*E) with Y ~ chi2'(3, 2), Z ~ chi2'(1, 0.5) and
     # E = chi2(2)/2 ~ Exp(1): damping scales 50, 1/4 and 1/(2x), up to 4000x apart
-    combo = Chi2Combo(((0.01, 3, 2.0), (2.0, 1, 0.5), (-0.5 * x, 2, 0.0)))
     s = 2.0 / x
     mgf_z = math.exp(-0.5 * s / (1.0 + 2.0 * s)) / math.sqrt(1.0 + 2.0 * s)  # E e^(-s Z)
 
@@ -287,7 +298,8 @@ def test_imhof_large_x_against_convolution(x):
         return scipy.stats.ncx2.pdf(y, 3, 2.0) * math.exp(-0.01 * y / x) * mgf_z
 
     exact, _ = scipy.integrate.quad(joint, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=500)
-    assert imhof_cdf(combo) == pytest.approx(exact, abs=1e-12)
+    got = imhof_cdf([0.01, 2.0, -0.5 * x], [3, 1, 2], [2.0, 0.5, 0.0])
+    assert got == pytest.approx(exact, abs=1e-12)
 
 
 def _convolution_density_at_zero(a, p, b, q):
@@ -306,14 +318,23 @@ def _convolution_density_at_zero(a, p, b, q):
 
 
 def test_density_at_zero_rounding_level_weight():
-    # the Durbin-Watson n = 20 edge leaves omega = 4.6e-16 where the exact
-    # value is 0; its term must not stretch the integration range to 1/|w| ~ 6e16
+    # a rounding-level weight, like the omega = 4.6e-16 of a Durbin-Watson
+    # n = 20 edge, stays in the CF: it stretches the integration range to
+    # 1/|w| ~ 6e16 but moves the density by a relative ~1e-16
     tiny, a, b = 1.7554246404372988e-17, 0.6871842709362767, 0.04042260417272218
     for q in (19, 17):
-        combo = Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, q, 0.0)))
         exact = _convolution_density_at_zero(a, 1, b, q)
-        assert density_at_zero(combo) == pytest.approx(exact, rel=1e-9, abs=0.0)
-    assert Chi2Combo(((tiny, 1, 0.0), (a, 1, 0.0), (-b, 19, 0.0))).active_df() == 20.0
+        got = density_at_zero([tiny, a, -b], [1, 1, q], [0.0, 0.0, 0.0])
+        assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-13, 1e-14])
+def test_density_at_zero_keeps_a_tiny_weight(eps):
+    # eps chi2_3 - chi2_3 has density 2 sqrt(eps) / (pi (1 + eps)^2) at 0:
+    # no weight is small enough to be dropped as 0
+    exact = 2.0 * math.sqrt(eps) / (math.pi * (1.0 + eps) ** 2)
+    got = density_at_zero([eps, -1.0], [3, 3], [0.0, 0.0])
+    assert got == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 # Densities at 0 of noncentral combinations by 30-digit mpmath integration of
@@ -339,7 +360,7 @@ _NONCENTRAL_DENSITY_AT_ZERO = [
 
 @pytest.mark.parametrize("terms, expected", _NONCENTRAL_DENSITY_AT_ZERO)
 def test_density_at_zero_noncentral_matches_mpmath(terms, expected):
-    got = density_at_zero(Chi2Combo(terms))
+    got = density_at_zero(*zip(*terms))
     assert type(got) is float
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -352,7 +373,7 @@ def test_density_at_zero_noncentral_matches_mpmath(terms, expected):
 ])
 def test_density_at_zero_central_matches_convolution(a, p, b, q):
     exact = _convolution_density_at_zero(a, p, b, q)
-    got = density_at_zero(Chi2Combo(((a, p, 0.0), (-b, q, 0.0))))
+    got = density_at_zero([a, -b], [p, q], [0.0, 0.0])
     assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 

@@ -7,7 +7,6 @@ import pytest
 import scipy.special
 
 from qfratio import (
-    Chi2Combo,
     InvalidInputError,
     beta_limit,
     beta_matrices,
@@ -350,7 +349,7 @@ def _shifted_combination_re_pdf(n, edge, lim):
     def f(*shifts):
         extra = [(lim.eta1[i], 2, 0.0) for i in shifts]
         central = [(-1.0 / (2.0 * lim.u0), n - m, 0.0)]
-        return density_at_zero(Chi2Combo(tuple(base + extra + central)))
+        return density_at_zero(*zip(*(base + extra + central)))
 
     num = sum(H[i, i] * lim.eta3[i] * f(i) for i in range(m))
     num += sum(nu0[i] * nu0[j] * lim.eta3[i] * lim.eta3[j] * H[i, j] * f(i, j)
