@@ -9,7 +9,10 @@ prints floats in Python's shortest round-trip form and CSV with 17
 significant digits; both parse back to the same doubles.
 
 Problem files are JSON objects {"A": [[...]], "B": [[...]], "mu": [...]}
-with an optional "sigma" covariance that is folded in by whitening.  The cdf
+with an optional "sigma" covariance that is folded in by whitening.  They
+are strict JSON (RFC 8259) in UTF-8, decoded by orjson: a ``NaN`` or
+``Infinity`` literal, a number that overflows a double, a byte-order mark or
+bytes that are not UTF-8 make the file invalid input (exit code 1).  The cdf
 and pdf verbs evaluate their whole grid in one batched call.  ``figure``
 writes two CSV tables into the directory ``--out`` and lists their paths.
 """
@@ -25,6 +28,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import builders, oracle, saddlepoint, tails
 from .core import DEFAULT_TOL, QuadFormRatio, Tolerances, new_ratio, whiten
@@ -69,10 +73,10 @@ def _jsonable(obj):
 
 def _load_problem(path: str, tol: Tolerances) -> QuadFormRatio:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = orjson.loads(Path(path).read_bytes())
     except OSError as exc:
         raise InvalidInputError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise InvalidInputError(f"problem file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or "A" not in raw or "B" not in raw:
         raise InvalidInputError('problem file must be an object with "A" and "B"')

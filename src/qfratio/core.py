@@ -191,6 +191,8 @@ def whiten(A, B, mu, Sigma, tol: Tolerances = DEFAULT_TOL) -> QuadFormRatio:
     for name, M, shape in (("B", B, A.shape), ("Sigma", Sigma, A.shape), ("mu", mu, A.shape[:1])):
         if M.shape != shape:
             raise InvalidInputError(f"{name} must have shape {shape}, got {M.shape}")
+    if not np.all(np.isfinite(mu)):
+        raise InvalidInputError("mu contains non-finite entries")
     w, V = np.linalg.eigh(Sigma)
     if w[0] <= tol.tol_psd * max(np.max(np.abs(w)), 1.0):
         raise InvalidInputError("Sigma must be positive definite")

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from qfratio import (
     relative_error_curve,
     support,
 )
-from qfratio.cli import main
+from qfratio.cli import _load_problem, main
+from qfratio.core import DEFAULT_TOL
 
 
 def run_cli(capsys, *argv):
@@ -41,7 +44,7 @@ def heavy_tail_problem(tmp_path, capsys):
 
 
 def test_build_round_trip(heavy_tail_problem):
-    doc = json.loads(open(heavy_tail_problem).read())
+    doc = json.loads(Path(heavy_tail_problem).read_text())
     assert np.allclose(doc["A"], [[0.0, 0.5], [0.5, 0.0]])
     assert np.allclose(doc["B"], [[1.0, 0.0], [0.0, 0.0]])
     assert doc["mu"] == [0.2, 2.0]
@@ -216,6 +219,90 @@ def test_malformed_problem_exit_1(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cdf", "--problem", str(bad), "--points", "1")
     assert code == 1
     assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("data", [
+    b'{"A": [[1.0, 0.0], [0.0, "\xff"]], "B": [[1.0, 0.0], [0.0, 1.0]]}',  # not UTF-8
+    b'\xef\xbb\xbf{"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}',  # BOM
+    b"",  # empty file
+], ids=["invalid-utf8", "bom", "empty"])
+def test_undecodable_problem_exit_1(tmp_path, capsys, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run_cli(capsys, "cdf", "--problem", str(bad), "--points", "1")
+    error = json.loads(err)["error"]
+    assert code == 1 and out == ""
+    assert error["type"] == "InvalidInputError"
+    assert error["message"].startswith("problem file is not valid JSON")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("key", ["A", "B", "mu", "sigma"])
+def test_non_finite_literal_exit_1(tmp_path, capsys, key, literal):
+    # strict JSON has no non-finite numbers: the file itself is invalid input
+    entries = {"A": "[[1.0, 0.5], [0.5, {A}]]", "B": "[[1.0, 0.0], [0.0, {B}]]",
+               "mu": "[0.2, {mu}]", "sigma": "[[1.0, 0.0], [0.0, {sigma}]]"}
+    fill = {k: literal if k == key else "1.0" for k in entries}
+    path = tmp_path / "nonfinite.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v.format(**fill)}' for k, v in entries.items())
+                    + "}")
+    code, out, err = run_cli(capsys, "analyze", "--problem", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+
+def _assert_decodes_like_stdlib(path):
+    # the loaded A, B and mu carry the same bits as the standard library's parse
+    ratio = _load_problem(str(path), DEFAULT_TOL)
+    ref = json.loads(Path(path).read_text())
+    for key in ("A", "B", "mu"):
+        got, want = getattr(ratio, key), np.asarray(ref[key], dtype=float)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
+
+
+def test_problem_decoding_matches_stdlib_durbin_watson(tmp_path, capsys):
+    path = tmp_path / "dw.json"
+    assert run_cli(capsys, "build", "--kind", "durbin_watson", "--n", "100",
+                   "--out", str(path))[0] == 0
+    _assert_decodes_like_stdlib(path)
+
+
+def test_problem_decoding_matches_stdlib_number_forms(tmp_path):
+    # subnormals, signed zeros, integers of up to 25 digits, 17- and 25-digit
+    # decimals; the largest doubles go in mu, where nothing adds them up
+    rng = random.Random(20)
+    n = 100
+
+    def decimal(lo, hi):
+        x = math.copysign(10.0 ** rng.uniform(lo, hi), rng.random() - 0.5)
+        return format(x, rng.choice([".17g", ".25g"]))
+
+    forms = [
+        lambda: repr(rng.choice([-1, 1]) * rng.uniform(0.0, 2.2e-308)),
+        lambda: rng.choice(["0", "-0", "0.0", "-0.0", "0e0", "-0E-5"]),
+        lambda: str(rng.randrange(-10**25, 10**25)),
+        lambda: str(rng.randrange(-10**6, 10**6)),
+        lambda: decimal(-300, 300),
+    ]
+    A = [[None] * n for _ in range(n)]
+    B = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = rng.choice(forms)()
+            if j > i and rng.random() < 0.2:
+                B[i][j] = B[j][i] = rng.choice(forms[:2])()
+        B[i][i] = decimal(-3, 3).lstrip("-") if i % 3 else str(rng.randrange(1, 1000))
+    mu = [rng.choice(forms)() for _ in range(n - 4)]
+    mu += ["1.7976931348623157e308", "-1.7976931348623157e308", "1.7976931348623157E+308",
+           "5e-324"]
+
+    def rows(M):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in M) + "]"
+
+    path = tmp_path / "forms.json"
+    path.write_text(f'{{"A": {rows(A)}, "B": {rows(B)}, "mu": [{", ".join(mu)}]}}')
+    _assert_decodes_like_stdlib(path)
 
 
 def test_unsupported_instance_exit_2(tmp_path, capsys):

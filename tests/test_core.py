@@ -78,6 +78,13 @@ def test_whiten_rejects_mismatched_shapes():
         whiten(np.eye(2), np.eye(2), [0.0, 0.0, 0.0], np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_whiten_rejects_non_finite_mu(bad):
+    # a typed error before S^-1 mu turns the entry into a NaN with a RuntimeWarning
+    with pytest.raises(InvalidInputError, match="mu contains non-finite"):
+        whiten(np.eye(2), np.eye(2), [0.0, bad], 4.0 * np.eye(2))
+
+
 def test_whiten_matches_direct_sampler():
     # R under N(mu, Sigma) has the same law as the whitened instance under N(., I)
     rng = rng_for(7)
